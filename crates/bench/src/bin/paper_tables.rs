@@ -129,7 +129,8 @@ const OBS_PROBES: &[(&str, &str)] = &[
         "cache_once",
         "let $d := /root return for $i in (1, 2, 3) return ($i, string($d/item[1]/@k))",
     ),
-    ("streamed_existence", "exists(//leaf)"),
+    ("streamed_existence", "exists(/root/leaf)"),
+    ("index_existence", "exists(//leaf)"),
     ("cursor_pick", "(//item)[3]"),
 ];
 
@@ -173,10 +174,10 @@ fn obs_stats_json(name: &str, s: &EvalStats) -> String {
 
 /// `paper_tables -- check-obs` — asserts that every fast path the engine
 /// claims (hash join, index range, attribute-index probe, CacheOnce,
-/// streamed existence) reports non-zero counters on its probe query, and
-/// that with the runtime passes off the same queries report zero for every
-/// optimisation counter. Panics (non-zero exit) on any violation, so CI can
-/// run it directly.
+/// streamed and index existence) reports non-zero counters on its probe
+/// query, and that with the runtime passes (or, for the cursor's counters,
+/// streaming) off the same queries report zero. Panics (non-zero exit) on
+/// any violation, so CI can run it directly.
 fn check_obs() {
     header("check-obs — every claimed fast path must count, and admit to nothing when off");
     let rows = obs_probe_rows(true);
@@ -211,6 +212,18 @@ fn check_obs() {
     assert!(
         stream.streamed_existence > 0,
         "streamed-existence path did not count: {stream:?}"
+    );
+    let existence_off = stream_probe(&obs_doc(), "exists(/root/leaf)", false);
+    for (counter, value) in existence_off.stream_counters() {
+        assert_eq!(
+            value, 0,
+            "streamed_existence: counter {counter} must be zero with streaming off"
+        );
+    }
+    let index_existence = get("index_existence");
+    assert!(
+        index_existence.index_hits > 0,
+        "index-existence path did not count: {index_existence:?}"
     );
     let pick = get("cursor_pick");
     assert!(
@@ -1786,14 +1799,15 @@ fn bench10_json() {
     println!("  wrote {BENCH10_BASELINE}");
 }
 
+/// The bench gate's per-row check: row name, baseline median, explicit
+/// limit, and the closure that times one sample in milliseconds.
+type GateRow<'a> = dyn FnMut(&str, Option<f64>, Option<f64>, &mut dyn FnMut() -> f64) + 'a;
+
 /// Re-times the BENCH_10 rows for the gate: corpus parse and query rows
 /// against their explicit `gate_limit_ms`, then the two scenario point
 /// rows inverted against `gate_floor_qps`. Returns the scenario failures
 /// (the `gate` closure owns the latency failure list).
-fn bench10_gate_rows(
-    baseline: &str,
-    gate: &mut dyn FnMut(&str, Option<f64>, Option<f64>, &mut dyn FnMut() -> f64),
-) -> Vec<String> {
+fn bench10_gate_rows(baseline: &str, gate: &mut GateRow) -> Vec<String> {
     const PARSE_REPS: usize = 11;
     const MICRO_REPS: usize = 41;
     const RETRIES: usize = 2;

@@ -1,13 +1,13 @@
 //! The pull-based cursor runtime: streaming evaluation of qualifying path
 //! expressions, one item per `next()` call, no intermediate sequences.
 //!
-//! PR 4's "streamed existence" special case proved that a depth-first walk
-//! can answer `exists(//a/b)` without materialising any step. This module
-//! generalises that one-off into a protocol the runner ([`crate::run`])
-//! evaluates whole consumer positions against: `for $x in PATH` pulls
-//! bindings, `count(PATH)` pulls and discards, `subsequence(PATH, 2, 3)`
-//! and `(//item)[3]` stop pulling as soon as the prefix they need is out,
-//! and `PATH = v` stops at the first comparison hit.
+//! This module is the one protocol the runner ([`crate::run`]) evaluates
+//! whole consumer positions against: `for $x in PATH` pulls bindings,
+//! `count(PATH)` pulls and discards, `subsequence(PATH, 2, 3)` and
+//! `(//item)[3]` stop pulling as soon as the prefix they need is out,
+//! `PATH = v` stops at the first comparison hit, and existence
+//! (`exists`/`empty`/`boolean`/`not(PATH)`, and a path in a `where`, `if`,
+//! `and`/`or` or `satisfies` position) is answered by the first pull.
 //!
 //! ## Which paths stream
 //!

@@ -435,7 +435,7 @@ fn join_corpus_matches_reference_unoptimized() {
 #[test]
 fn all_corpora_match_reference_with_runtime_opt_off() {
     // The same three corpora with the lowered-plan optimiser forced off:
-    // no hoisting, no hash join, no streamed existence — the plain lowered
+    // no hoisting, no hash join, no lone-`//name` index answers — the plain
     // program must still match the walker everywhere.
     let mut e = Engine::with_options(EngineOptions {
         runtime_opt: false,
@@ -529,6 +529,81 @@ const STREAM_CORPUS: &[&str] = &[
     "for $i in //item return (trace('t=', string($i/@k)), $i/@k idiv 2)",
     "(for $i in //item return trace('w=', string($i/@k)))[2]",
     "some $i in //item satisfies ($i/@k idiv 2) = 0",
+];
+
+/// A small document for the existence corpus: two `a`s that differ in
+/// their children and attributes, and a `note` for the lone `//name` shape.
+const EXISTS_DOC: &str = "<e>\
+    <a k='1'><b/><b k='2'/></a>\
+    <a><c/></a>\
+    <note>n</note>\
+</e>";
+
+/// Existence corpus: every consumer that only asks whether a path is
+/// non-empty (`exists`, `empty`, `boolean`, `not`, and the EBV positions
+/// `if`, `where`, `and`/`or`, `some`/`every … satisfies`) over every start
+/// and step shape that picks a different route in the runner: single-node
+/// cursor starts, the lone `//name` index shape, multi-node and empty
+/// starts, reverse and `self` steps the cursor refuses, atomic starts that
+/// must raise `XPTY0019` at the same position, and `trace()` starts that
+/// pin source-order effects.
+const EXISTS_CORPUS: &[&str] = &[
+    // Single-node starts the cursor answers with one pull.
+    "exists(/e/a/b)",
+    "empty(/e/a/b)",
+    "boolean(/e/a/c)",
+    "not(/e/a/zzz)",
+    "exists(//a/b)",
+    "exists(//a/@k)",
+    "exists(//@k)",
+    "empty(//@zzz)",
+    "exists(/e/a[2])",
+    "exists(/e/a[3])",
+    "not(/e/a[2]/c)",
+    "let $x := /e/a[1] return exists($x/@k)",
+    "let $x := /e/a[2] return empty($x/@k)",
+    // The lone `//name` / `//@name` shape the name index answers.
+    "exists(//note)",
+    "empty(//zzz)",
+    "not(//b)",
+    "boolean(//@k)",
+    "let $a := /e/a[1] return exists($a//b)",
+    // Multi-node and empty starts.
+    "let $as := /e/a return exists($as/b)",
+    "exists((/e/a)/c)",
+    "let $as := /e/a return empty($as//b)",
+    "let $none := () return exists($none/b)",
+    "let $none := () return not($none//b)",
+    // Steps the cursor refuses: parent, ancestor, self.
+    "exists(//b/..)",
+    "exists(/e/a/b/ancestor::e)",
+    "empty(/e/a/self::zzz)",
+    "exists(/e/a/self::a)",
+    "not(//b/parent::zzz)",
+    // Atomic starts raise at the step, with its position.
+    "let $n := 3 return exists($n/b)",
+    "let $n := 3 return empty($n//b)",
+    "if ((1, 2)/a) then 1 else 0",
+    "some $x in (1, 2) satisfies $x/b",
+    // A `trace()` start fires once, in source order.
+    "(trace('before', 1), exists(trace('s=', /e/a[1])/b), trace('after', 2))",
+    "empty(trace('m=', /e/a)/c)",
+    "not(trace('t=', /e)//note)",
+    "for $i in (1, 2) where exists(trace('w=', /e/a[$i])/b) return $i",
+    // Effective-boolean-value positions.
+    "if (/e/a/b) then 'y' else 'n'",
+    "if (/e/a[2]/b) then 'y' else 'n'",
+    "if (//zzz) then 1 else 2",
+    "for $a in /e/a where $a/b return string($a/@k)",
+    "for $a in /e/a where $a/@k return 'k'",
+    "for $a in /e/a where not($a/c) return string($a/@k)",
+    "/e/a/b and //note",
+    "/e/a/zzz or //@k",
+    "/e/a/zzz and trace('never', 1)",
+    "some $a in /e/a satisfies $a/c",
+    "every $a in /e/a satisfies $a/b",
+    "some $a in /e/a satisfies $a/..",
+    "every $a in /e/a satisfies $a/ancestor::e",
 ];
 
 #[test]
@@ -1222,8 +1297,8 @@ use std::sync::Arc;
 
 /// The engine configurations the serial corpus tests above run under, plus
 /// the three opt-out variants: AST optimizer off, the lowered-plan passes
-/// (hoisting, hash join, streamed existence) off, and the cursor runtime
-/// off (everything materialises eagerly, the `XQ_STREAM=0` shape).
+/// (hoisting, hash join, lone-`//name` index answers) off, and the cursor
+/// runtime off (everything materialises eagerly, the `XQ_STREAM=0` shape).
 fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
     vec![
         (
@@ -1283,6 +1358,9 @@ fn corpus_cases() -> Vec<(Option<&'static str>, &'static str)> {
     }
     for src in STREAM_CORPUS {
         cases.push((Some(STREAM_DOC), *src));
+    }
+    for src in EXISTS_CORPUS {
+        cases.push((Some(EXISTS_DOC), *src));
     }
     for src in XMARK_CORPUS {
         cases.push((Some(xmark_mini_doc()), *src));
@@ -1872,5 +1950,24 @@ fn deep_chain_corpus_matches_reference_under_all_configs() {
             assert_equivalent(&mut e, src, Some(doc))
                 .unwrap_or_else(|d| panic!("{name}: {src}: {d}"));
         }
+    }
+}
+
+/// The walker is the oracle for the runner's index fast paths, so it must
+/// not share them: an index bug would otherwise show identically on both
+/// sides of every differential case.
+#[test]
+fn reference_walker_asks_no_store_index() {
+    const WALKER: &str = include_str!("eval.rs");
+    for query in [
+        "descendant_elements_by_name",
+        "descendant_or_self_attributes_by_name",
+        "elements_with_attr_value",
+        "any_descendant_",
+    ] {
+        assert!(
+            !WALKER.contains(query),
+            "eval.rs names the store index query {query}"
+        );
     }
 }

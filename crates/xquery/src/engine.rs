@@ -65,8 +65,10 @@ pub struct EngineOptions {
     pub eval_workers: usize,
     /// Enable the lowered-program optimisation layer: the loop-invariant
     /// hoisting pass over the lowered [`Program`], the hash-join existential
-    /// general comparison, and the streaming existence short-circuits in the
-    /// runner. All of these are gated rewrites that must be observably
+    /// general comparison, and the name-index answers for `count` and
+    /// existence over a path whose only step is `//name` or `//@name`.
+    /// Existence over any other path belongs to [`EngineOptions::stream`].
+    /// All of these are gated rewrites that must be observably
     /// identical to the plain paths (the differential suite runs with this
     /// both on and off); the flag exists so CI can pin that claim and so a
     /// regression can be bisected at runtime. Defaults to `true`; setting
@@ -75,9 +77,12 @@ pub struct EngineOptions {
     /// optimizer whose quirks-mode trace-DCE is itself under test.
     pub runtime_opt: bool,
     /// Enable the pull-based cursor runtime: qualifying paths, FLWOR `for`
-    /// bindings, and prefix-consuming builtins evaluate by pulling items
-    /// through [`crate::cursor`] instead of materialising every
-    /// intermediate sequence. Streamed pulls are effect-free and
+    /// bindings, prefix-consuming builtins, and existence questions
+    /// (`exists`/`empty`/`boolean`/`not` and effective-boolean-value
+    /// positions, except the lone-`//name` index shape owned by
+    /// [`EngineOptions::runtime_opt`]) evaluate by pulling items through
+    /// [`crate::cursor`] instead of materialising every intermediate
+    /// sequence. Streamed pulls are effect-free and
     /// infallible by construction (the gate admits only predicate-free or
     /// positionally-predicated child/attribute steps), so the toggle must
     /// be observably invisible; the differential suite runs with it both
@@ -959,9 +964,9 @@ impl Engine {
     /// Renders the lowered-and-optimised plan for `query` as an annotated
     /// tree: which FLWOR clauses became hash-join build sides, why a join
     /// was refused, where loop-invariant caches sit, and which calls stream
-    /// or answer from the store indexes.
+    /// or answer from the store indexes under this engine's options.
     pub fn explain(&self, query: &CompiledQuery) -> String {
-        crate::obs::explain(&query.program, &query.plan_stats)
+        crate::obs::explain(&query.program, &query.plan_stats, &self.options)
     }
 }
 

@@ -16,9 +16,10 @@
 //!   effect instead of a bare string push. Events carry the query position
 //!   and the traced value, and survive every *runtime* pass by
 //!   construction: the lopt hoister never caches calls, the hash join
-//!   refuses operands containing calls, and the streamed-existence gate
-//!   rejects predicates — so the only thing that can delete a trace is the
-//!   paper-faithful quirks-mode AST optimiser, which is itself under test.
+//!   refuses operands containing calls, and the cursor admits no predicate
+//!   but a positional literal — so the only thing that can delete a trace
+//!   is the paper-faithful quirks-mode AST optimiser, which is itself under
+//!   test.
 //! * [`explain`] — renders the lowered-and-optimised [`Program`] as an
 //!   annotated plan tree: which `for` clause got the hash-join mark (and
 //!   why a candidate `where` was refused), which subexpressions were
@@ -26,6 +27,7 @@
 //!   store's indexes.
 
 use crate::ast::Axis;
+use crate::engine::EngineOptions;
 use crate::lopt::{self, PlanStats};
 use crate::lower::{LExpr, LFlworClause, Program};
 use std::collections::HashMap;
@@ -61,9 +63,9 @@ pub struct EvalStats {
     /// `CacheOnce` cells cleared by a `for` clause (entry and per-tuple
     /// resets combined).
     pub cache_resets: u64,
-    /// `exists`/`empty`/`boolean`/`not` calls (and `where`/EBV positions)
-    /// answered by the streamed existence walk without materialising the
-    /// path.
+    /// `exists`/`empty`/`boolean`/`not` calls (and `where`/`if`/`and`/`or`/
+    /// `satisfies` positions) answered by the first pull of a path cursor
+    /// instead of materialising the path.
     pub streamed_existence: u64,
     /// Items appended to materialised sequences by the runner: FLWOR tuple
     /// output, per-step path results (descendant expansions, step maps,
@@ -115,24 +117,24 @@ impl EvalStats {
     /// The counters attributable to the runtime optimisation layer; all
     /// zero when [`EngineOptions::runtime_opt`](crate::EngineOptions) is
     /// off.
-    pub fn opt_counters(&self) -> [(&'static str, u64); 6] {
+    pub fn opt_counters(&self) -> [(&'static str, u64); 5] {
         [
             ("join_builds", self.join_builds),
             ("join_probes", self.join_probes),
             ("join_fallbacks", self.join_fallbacks),
             ("cache_hits", self.cache_hits),
             ("cache_resets", self.cache_resets),
-            ("streamed_existence", self.streamed_existence),
         ]
     }
 
     /// The counters attributable to the streaming cursor runtime; all zero
     /// when [`EngineOptions::stream`](crate::EngineOptions) is off (the
     /// `XQ_STREAM=0` toggle), which `check-obs` pins.
-    pub fn stream_counters(&self) -> [(&'static str, u64); 2] {
+    pub fn stream_counters(&self) -> [(&'static str, u64); 3] {
         [
             ("items_streamed", self.items_streamed),
             ("cursor_early_exits", self.cursor_early_exits),
+            ("streamed_existence", self.streamed_existence),
         ]
     }
 }
@@ -214,10 +216,12 @@ enum ResetKind {
 /// (or the reason the mark was refused when the `where` looked like a
 /// candidate), `CacheOnce` cells say whether they are loop-invariant hoists
 /// or per-tuple caches, and calls that the runner will stream or answer
-/// from an index are flagged. A program compiled with `runtime_opt` off
-/// renders the same tree with none of the annotations — diffing the two is
-/// the intended way to see what the layer did.
-pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
+/// from an index are flagged. Each annotation checks the same `options`
+/// knob the runner checks, so a plan explained with `runtime_opt` off
+/// carries none of that layer's annotations, and one with `stream` off
+/// none of the cursor's — diffing them is the intended way to see what a
+/// layer did.
+pub fn explain(program: &Program, plan_stats: &PlanStats, options: &EngineOptions) -> String {
     let mut resets = HashMap::new();
     collect_resets(&program.body, &mut resets);
     for f in &program.functions {
@@ -236,6 +240,7 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
     let cx = ExplainCx {
         program,
         resets: &resets,
+        options,
     };
     for f in &program.functions {
         out.push_str(&format!("function {}:\n", f.name));
@@ -252,6 +257,7 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
 struct ExplainCx<'a> {
     program: &'a Program,
     resets: &'a HashMap<u32, ResetKind>,
+    options: &'a EngineOptions,
 }
 
 fn collect_resets(e: &LExpr, map: &mut HashMap<u32, ResetKind>) {
@@ -354,37 +360,28 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
         },
         LExpr::CallBuiltin { builtin, args, .. } => {
             use crate::functions::Builtin as B;
-            if args.len() == 1 {
-                if let LExpr::Path { steps, .. } = &args[0] {
-                    let existence = matches!(builtin, B::Exists | B::Empty | B::Boolean | B::Not);
-                    if existence && crate::run::streamable_steps(steps) {
-                        out.push(
-                            "streamed existence: early-exit walk, no materialisation".to_string(),
-                        );
-                    }
-                    if matches!(builtin, B::Count) {
-                        let mut fused = false;
-                        if let [step] = &steps[..] {
-                            if step.double_slash
-                                && crate::run::fused_double_slash_step(&step.expr).is_some()
-                            {
-                                fused = true;
-                                out.push(
-                                    "index-range count: answered from the per-tree name index"
-                                        .to_string(),
-                                );
-                            }
-                        }
-                        if !fused && crate::cursor::classify_steps(steps).is_some() {
-                            out.push(
-                                "streamed count: items pulled and discarded, never materialised"
-                                    .to_string(),
-                            );
-                        }
-                    }
+            let (opt, stream) = (cx.options.runtime_opt, cx.options.stream);
+            if let [LExpr::Path { steps, .. }] = args.as_slice() {
+                let index_step = opt && crate::run::lone_index_step(steps).is_some();
+                let streams = stream && crate::cursor::classify_steps(steps).is_some();
+                match builtin {
+                    B::Exists | B::Empty | B::Boolean | B::Not if index_step => out
+                        .push("index existence: answered from the per-tree name index".to_string()),
+                    B::Exists | B::Empty | B::Boolean | B::Not if streams => out.push(
+                        "streamed existence: first cursor pull answers, no materialisation"
+                            .to_string(),
+                    ),
+                    B::Count if index_step => out.push(
+                        "index-range count: answered from the per-tree name index".to_string(),
+                    ),
+                    B::Count if streams => out.push(
+                        "streamed count: items pulled and discarded, never materialised"
+                            .to_string(),
+                    ),
+                    _ => {}
                 }
             }
-            if matches!(builtin, B::Subsequence) {
+            if matches!(builtin, B::Subsequence) && stream {
                 if let Some(LExpr::Path { steps, .. }) = args.first() {
                     if crate::cursor::classify_steps(steps).is_some()
                         && args[1..]
@@ -397,15 +394,15 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
             }
         }
         LExpr::Path { steps, .. } => {
-            if steps
+            let positional = cx.options.stream
+                && crate::cursor::classify_steps(steps).is_some_and(|p| p.has_positional());
+            if positional {
+                out.push("streamed path: pull cursor with positional early-exit".to_string());
+            } else if steps
                 .iter()
                 .any(|s| s.double_slash && crate::run::fused_double_slash_step(&s.expr).is_some())
             {
                 out.push("`//` step answered from the per-tree name index".to_string());
-            } else if let Some(plan) = crate::cursor::classify_steps(steps) {
-                if plan.has_positional() {
-                    out.push("streamed path: pull cursor with positional early-exit".to_string());
-                }
             }
         }
         LExpr::AxisStep {
@@ -456,7 +453,7 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
                             "  [hash join: build side; key = {side:?} operand of `where`]"
                         ));
                     } else if let LExpr::Path { steps, .. } = seq {
-                        if crate::cursor::classify_steps(steps).is_some() {
+                        if cx.options.stream && crate::cursor::classify_steps(steps).is_some() {
                             head.push_str("  [streamed binding: tuples pulled from a cursor]");
                         }
                     }
@@ -583,29 +580,100 @@ mod tests {
     }
 
     #[test]
-    fn explain_without_runtime_opt_has_no_rewrite_marks() {
-        let e = Engine::with_options(EngineOptions {
-            runtime_opt: false,
-            ..Default::default()
-        });
-        let q = e
-            .compile(
-                "let $d := <r><a id='1'/></r> \
-                 return for $n in $d/a for $r in $d/a where $r/@id = $n/@id return $r",
-            )
-            .unwrap();
-        let plan = e.explain(&q);
-        assert!(plan.contains("0 hash join(s)"), "{plan}");
-        assert!(!plan.contains("hash join: build side"), "{plan}");
-        assert!(!plan.contains("cache-once"), "{plan}");
-    }
-
-    #[test]
-    fn explain_marks_streamed_and_index_calls() {
-        let e = Engine::new();
-        let q = e.compile("exists(//node) and count(//rel) > 0").unwrap();
-        let plan = e.explain(&q);
-        assert!(plan.contains("streamed existence"), "{plan}");
-        assert!(plan.contains("index-range count"), "{plan}");
+    fn explain_annotations_follow_each_knob() {
+        // Each annotation appears iff the knob the runner checks for that
+        // fast path is on: `runtime_opt` owns the hash join, the hoists and
+        // the lone-`//name` index answers; `stream` owns every cursor
+        // consumer, existence included.
+        const JOIN: &str = "let $d := <r><a id='1'/></r> \
+             return for $n in $d/a for $r in $d/a where $r/@id = $n/@id return $r";
+        const INDEX_CALLS: &str = "exists(//node) and count(//rel) > 0";
+        const CURSOR_CALLS: &str = "exists(/r/item) or count(/r/item) > 0";
+        type Row = (
+            bool,
+            bool,
+            &'static str,
+            &'static [&'static str],
+            &'static [&'static str],
+        );
+        let rows: &[Row] = &[
+            // (runtime_opt, stream, query, marks present, marks absent)
+            (true, true, JOIN, &["hash join: build side"], &[]),
+            (
+                false,
+                true,
+                JOIN,
+                &["0 hash join(s)"],
+                &["hash join: build side", "cache-once"],
+            ),
+            (
+                true,
+                true,
+                INDEX_CALLS,
+                &["index existence", "index-range count"],
+                &["streamed existence", "streamed count"],
+            ),
+            (
+                false,
+                true,
+                INDEX_CALLS,
+                &["streamed existence", "streamed count"],
+                &["index existence", "index-range count"],
+            ),
+            (false, false, INDEX_CALLS, &[], &["existence", "count:"]),
+            (
+                true,
+                true,
+                CURSOR_CALLS,
+                &["streamed existence", "streamed count"],
+                &["index existence", "index-range count"],
+            ),
+            (true, false, CURSOR_CALLS, &[], &["existence", "count:"]),
+            (
+                true,
+                true,
+                "subsequence(/r/item, 1, 1)",
+                &["streamed subsequence"],
+                &[],
+            ),
+            (
+                true,
+                false,
+                "subsequence(/r/item, 1, 1)",
+                &[],
+                &["streamed"],
+            ),
+            (true, true, "//a/b[2]", &["streamed path"], &["`//` step"]),
+            (true, false, "//a/b[2]", &["`//` step"], &["streamed"]),
+            (
+                true,
+                true,
+                "for $i in /r/item return $i",
+                &["streamed binding"],
+                &[],
+            ),
+            (
+                true,
+                false,
+                "for $i in /r/item return $i",
+                &[],
+                &["streamed"],
+            ),
+        ];
+        for &(runtime_opt, stream, src, present, absent) in rows {
+            let e = Engine::with_options(EngineOptions {
+                runtime_opt,
+                stream,
+                ..Default::default()
+            });
+            let plan = e.explain(&e.compile(src).unwrap());
+            let knobs = format!("runtime_opt={runtime_opt} stream={stream} {src}");
+            for mark in present {
+                assert!(plan.contains(mark), "{knobs}: missing {mark:?}\n{plan}");
+            }
+            for mark in absent {
+                assert!(!plan.contains(mark), "{knobs}: claims {mark:?}\n{plan}");
+            }
+        }
     }
 }

@@ -11,7 +11,10 @@
 //! everything expression-independent (arithmetic promotion, axis candidate
 //! enumeration, the predicate rule, order-key comparison, element-content
 //! construction) lives in shared helpers in `eval`/`functions`; this module
-//! only re-implements the walking skeleton over the lowered form.
+//! only re-implements the walking skeleton over the lowered form. The store
+//! index fast paths (fused `//name` steps, `[@attr = v]` probes, the lone
+//! `//name` count and existence answers) are the runner's alone: the walker
+//! is the index-free oracle they are checked against.
 //!
 //! ## Concurrency contract
 //!
@@ -34,10 +37,9 @@ use crate::cursor::{classify_steps, positional_predicate, PathCursor};
 use crate::engine::EngineOptions;
 use crate::error::{Error, ErrorCode, Result};
 use crate::eval::{
-    arith, axis_candidates, compare_order_keys, dedup_sorted, eval_fused_descendant_step,
-    expand_descendant_or_self, fused_attr_eq_candidates, has_child_element_named, internal,
+    arith, axis_candidates, compare_order_keys, dedup_sorted, expand_descendant_or_self, internal,
     join_atomized, predicate_outcome, singleton_integer, singleton_number, ContentBuilder,
-    FusedAttrEq, FusedStep, NumOperand,
+    NumOperand,
 };
 use crate::functions::{dispatch_builtin, Builtin, CallCtx};
 use crate::lower::{
@@ -433,61 +435,20 @@ pub fn run(
             args,
             position,
         } => {
-            // `exists`/`empty`/`boolean`/`not` over a predicate-free axis
-            // path only need existence, which the streamed walk answers
-            // without materialising any intermediate step. (For such a path
-            // every result item is a node, so EBV and existence coincide.)
-            if env.options.runtime_opt && args.len() == 1 {
+            if let [LExpr::Path { start, steps }] = args.as_slice() {
                 let invert = match builtin {
                     Builtin::Exists | Builtin::Boolean => Some(false),
                     Builtin::Empty | Builtin::Not => Some(true),
                     _ => None,
                 };
-                if let (Some(invert), LExpr::Path { start, steps }) = (invert, &args[0]) {
-                    if streamable_steps(steps) {
-                        let found = path_exists(start, steps, env, frame, ctx)?;
+                if let Some(invert) = invert {
+                    if let Some(found) = path_nonempty(start, steps, env, frame, ctx)? {
                         return Ok(Atomic::Bool(found != invert).into());
                     }
-                }
-                // `count` over one fused `//name` (or `//@name`) step: the
-                // per-tree name index answers with a range length, no
-                // sequence materialised. A single scope node yields its
-                // index range dedup-free; larger contexts (overlapping
-                // subtrees) finish on the shared fused evaluator, which is
-                // also what raises the path's own `XPTY0019` on atomics.
-                if matches!(builtin, Builtin::Count) {
-                    if let LExpr::Path { start, steps } = &args[0] {
-                        if let [step] = &steps[..] {
-                            if step.double_slash {
-                                if let Some(fused) = fused_double_slash_step(&step.expr) {
-                                    let start_seq = run(start, env, frame, ctx)?;
-                                    let n = match (start_seq.as_singleton(), &fused) {
-                                        (Some(Item::Node(n)), _) => Some(*n),
-                                        _ => None,
-                                    };
-                                    let count = match (n, fused) {
-                                        (Some(n), FusedStep::ChildNamed(want)) => {
-                                            env.stats.index_hits += 1;
-                                            env.store.descendant_elements_by_name(n, &want).len()
-                                        }
-                                        (Some(n), FusedStep::AttrNamed(want)) => {
-                                            env.stats.index_hits += 1;
-                                            env.store
-                                                .descendant_or_self_attributes_by_name(n, &want)
-                                                .len()
-                                        }
-                                        (None, fused) => {
-                                            env.stats.index_misses += 1;
-                                            eval_fused_descendant_step(
-                                                &start_seq, fused, env.store,
-                                            )?
-                                            .len()
-                                        }
-                                    };
-                                    return Ok(Atomic::Int(count as i64).into());
-                                }
-                            }
-                        }
+                } else if matches!(builtin, Builtin::Count) && env.options.runtime_opt {
+                    if let Some(fused) = lone_index_step(steps) {
+                        let n = lone_index_count(start, fused, false, env, frame, ctx)?;
+                        return Ok(Atomic::Int(n as i64).into());
                     }
                 }
             }
@@ -727,19 +688,17 @@ pub fn run(
     }
 }
 
-/// Effective boolean value of an expression, with the streaming existence
-/// short-circuit for qualifying paths (see [`streamable_steps`]).
+/// Effective boolean value of an expression. A path that
+/// [`path_nonempty`] admits is answered without materialising it.
 fn run_ebv(
     expr: &LExpr,
     env: &mut RunEnv,
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<bool> {
-    if env.options.runtime_opt {
-        if let LExpr::Path { start, steps } = expr {
-            if streamable_steps(steps) {
-                return path_exists(start, steps, env, frame, ctx);
-            }
+    if let LExpr::Path { start, steps } = expr {
+        if let Some(found) = path_nonempty(start, steps, env, frame, ctx)? {
+            return Ok(found);
         }
     }
     let v = run(expr, env, frame, ctx)?;
@@ -1298,53 +1257,78 @@ fn quantified(
 // Paths, predicates
 // ----------------------------------------------------------------------
 
-/// Does this step list qualify for the streamed existence walk? Every step
-/// must be a predicate-free axis step (axis steps over nodes cannot raise
-/// and yield only nodes, so visiting order and early exit are unobservable
-/// for a boolean); `//` abbreviations are only handled for the child and
-/// attribute axes, where descendant-or-self composition has a direct
-/// streaming form.
-pub(crate) fn streamable_steps(steps: &[LPathStep]) -> bool {
-    !steps.is_empty()
-        && steps.iter().all(|s| match &s.expr {
-            LExpr::AxisStep {
-                axis, predicates, ..
-            } => {
-                predicates.is_empty()
-                    && (!s.double_slash || matches!(axis, Axis::Child | Axis::Attribute))
-            }
-            _ => false,
-        })
-}
-
-/// "Does this path yield anything", for a path whose steps pass
-/// [`streamable_steps`]. The start expression is evaluated normally (its
-/// errors and traces are the path's own), then the steps are walked
-/// depth-first with early exit instead of materialising each intermediate.
+/// Existence of a path's result without materialising it, or `None` when
+/// the path takes neither route below (nothing has been evaluated then):
 ///
-/// If the start sequence contains an atomic item the plain evaluation would
-/// raise `XPTY0019` while mapping the first step; in that case fall back to
-/// materialized stepping *from the already-evaluated start* (never
-/// re-running the start expression) so the error surfaces identically.
-fn path_exists(
+/// * a lone `//name` or `//@name` step is answered from the name index,
+///   behind `runtime_opt` like the `count` branch;
+/// * any path the cursor admits is answered by its first pull, behind
+///   `stream` like every other cursor consumer. A start that is not one
+///   node finishes materialised from the already-evaluated start.
+///
+/// Both routes yield only nodes, so existence is also the path's EBV.
+fn path_nonempty(
     start: &LExpr,
     steps: &[LPathStep],
     env: &mut RunEnv,
     frame: &mut Frame,
     ctx: &mut DynamicContext,
-) -> Result<bool> {
-    let start_seq = run(start, env, frame, ctx)?;
-    let nodes: Option<Vec<NodeId>> = start_seq.iter().map(|i| i.as_node()).collect();
-    match nodes {
-        Some(nodes) => {
-            env.stats.streamed_existence += 1;
-            Ok(nodes.iter().any(|&n| step_any(env.store, n, steps)))
-        }
-        None => {
-            let current = finish_path_from(start_seq, steps, env, frame, ctx)?;
-            Ok(!current.is_empty())
+) -> Result<Option<bool>> {
+    if env.options.runtime_opt {
+        if let Some(fused) = lone_index_step(steps) {
+            return Ok(Some(
+                lone_index_count(start, fused, true, env, frame, ctx)? > 0,
+            ));
         }
     }
+    Ok(match open_path_stream(start, steps, env, frame, ctx)? {
+        Some(PathStream::Cursor(mut cur)) => {
+            env.stats.streamed_existence += 1;
+            let found = cur.next(env.store, env.stats).is_some();
+            cur.finish_early(env.stats);
+            Some(found)
+        }
+        Some(PathStream::Done(seq)) => Some(!seq.is_empty()),
+        None => None,
+    })
+}
+
+/// `count` over a path whose only step is `fused` (see [`lone_index_step`]);
+/// with `exists_only` the result is merely non-zero iff a match exists. A
+/// single scope node is answered from its index range, dedup-free; larger
+/// contexts (overlapping subtrees) finish on [`eval_fused_descendant_step`],
+/// which also raises the path's own `XPTY0019` on atomics.
+fn lone_index_count(
+    start: &LExpr,
+    fused: FusedStep,
+    exists_only: bool,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<usize> {
+    let start_seq = run(start, env, frame, ctx)?;
+    let Some(&Item::Node(n)) = start_seq.as_singleton() else {
+        env.stats.index_misses += 1;
+        return Ok(eval_fused_descendant_step(&start_seq, fused, env.store)?.len());
+    };
+    env.stats.index_hits += 1;
+    let store = &*env.store;
+    Ok(match (fused, exists_only) {
+        (FusedStep::ChildNamed(want), false) => store.descendant_elements_by_name(n, &want).len(),
+        (FusedStep::AttrNamed(want), false) => {
+            store.descendant_or_self_attributes_by_name(n, &want).len()
+        }
+        (FusedStep::ChildNamed(want), true) => usize::from(store.any_descendant_element_by_local(
+            n,
+            want.local_sym(),
+            |d| store.name(d) == Some(&want),
+        )),
+        (FusedStep::AttrNamed(want), true) => usize::from(
+            store.any_descendant_or_self_attribute_by_local(n, want.local_sym(), |a| {
+                store.name(a) == Some(&want)
+            }),
+        ),
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -1766,69 +1750,6 @@ fn stream_builtin(
     }
 }
 
-/// Depth-first existence walk: does any node reachable from `node` through
-/// the remaining steps survive? The first hit short-circuits every level.
-fn step_any(store: &Store, node: NodeId, steps: &[LPathStep]) -> bool {
-    let Some((step, rest)) = steps.split_first() else {
-        return true;
-    };
-    let LExpr::AxisStep { axis, test, .. } = &step.expr else {
-        unreachable!("streamable_steps admits only axis steps");
-    };
-    if step.double_slash {
-        return match axis {
-            // descendant-or-self::node()/child::T visits exactly the
-            // descendants of `node`; for a trailing unprefixed name test the
-            // store's name index answers without walking the subtree
-            // (candidates are local-name keyed, so the full-QName check
-            // stays in the visitor).
-            Axis::Child => {
-                if rest.is_empty() {
-                    if let LNodeTest::Name(want) = test {
-                        if want.prefix_sym().is_none() {
-                            return store.any_descendant_element_by_local(
-                                node,
-                                want.local_sym(),
-                                |n| node_test_matches(test, Axis::Child, n, store),
-                            );
-                        }
-                    }
-                }
-                store.descendants_iter(node).any(|d| {
-                    node_test_matches(test, Axis::Child, d, store) && step_any(store, d, rest)
-                })
-            }
-            Axis::Attribute => {
-                if rest.is_empty() {
-                    if let LNodeTest::Name(want) = test {
-                        if want.prefix_sym().is_none() {
-                            return store.any_descendant_or_self_attribute_by_local(
-                                node,
-                                want.local_sym(),
-                                |n| node_test_matches(test, Axis::Attribute, n, store),
-                            );
-                        }
-                    }
-                }
-                std::iter::once(node)
-                    .chain(store.descendants_iter(node))
-                    .any(|d| {
-                        axis_candidates(Axis::Attribute, d, store)
-                            .into_iter()
-                            .any(|a| {
-                                node_test_matches(test, Axis::Attribute, a, store)
-                                    && step_any(store, a, rest)
-                            })
-                    })
-            }
-            _ => unreachable!("streamable_steps gates double-slash axes"),
-        };
-    }
-    axis_candidates(*axis, node, store)
-        .into_iter()
-        .any(|c| node_test_matches(test, *axis, c, store) && step_any(store, c, rest))
-}
-
 fn map_step(
     current: &Sequence,
     step: &LExpr,
@@ -1867,11 +1788,109 @@ fn map_step(
         .collect())
 }
 
-/// The lowered node test: names were parsed to `QName`s at compile time, so
-/// matching is symbol equality, never a string render.
-/// Lowered mirror of the walker's `fused_double_slash_step`: name tests are
-/// already interned `QName`s here, so any simple predicate-free `//name` or
-/// `//@name` step qualifies for the index lookup.
+/// A `//`-step that can be answered from the store's per-tree name index:
+/// `//name` (child axis) or `//@name` (attribute axis), with no predicates.
+/// Predicates would observe per-parent position/size groupings, which the
+/// fused lookup doesn't reconstruct, so they take the generic path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FusedStep {
+    ChildNamed(QName),
+    AttrNamed(QName),
+}
+
+/// Evaluates `descendant-or-self::node()/child::name` (or `attribute::name`)
+/// for the whole context sequence from the name index: per context node one
+/// binary-searched range scan instead of materializing the subtree. Raises
+/// the same `XPTY0019` as [`expand_descendant_or_self`] on atomic items, so
+/// the fused and generic paths are observably identical.
+fn eval_fused_descendant_step(
+    current: &Sequence,
+    fused: FusedStep,
+    store: &Store,
+) -> Result<Sequence> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for item in current.iter() {
+        let n = item
+            .as_node()
+            .ok_or_else(|| Error::new(ErrorCode::XPTY0019, "'//' applied to an atomic value"))?;
+        match fused {
+            FusedStep::ChildNamed(want) => {
+                out.extend(store.descendant_elements_by_name(n, &want));
+            }
+            FusedStep::AttrNamed(want) => {
+                out.extend(store.descendant_or_self_attributes_by_name(n, &want));
+            }
+        }
+    }
+    let unique = dedup_sorted(out, store);
+    Ok(unique.into_iter().map(Item::Node).collect())
+}
+
+/// A child step whose first predicate equates an attribute of the candidate
+/// with a focus-free expression — `child[@attr = RHS]` — answerable from the
+/// store's attribute-value index when RHS atomizes to strings only. Both
+/// names are unprefixed.
+struct FusedAttrEq {
+    child: QName,
+    attr: QName,
+}
+
+/// Does `node` have at least one child element named `name`? The generic
+/// step evaluates predicates only when the name test admits a candidate, so
+/// the fused path must not touch the predicate's RHS before establishing
+/// the same — this check is that gate, allocation- and evaluation-free.
+fn has_child_element_named(store: &Store, node: NodeId, name: &QName) -> bool {
+    store
+        .children(node)
+        .iter()
+        .any(|&c| matches!(store.kind(c), NodeKind::Element(q) if q == name))
+}
+
+/// The index-backed half of the fused `child[@attr = RHS]` step: `rhs` is
+/// the predicate's already-evaluated comparand. Returns `None` — caller
+/// falls back to the generic scan — unless every atom of `rhs` is a string
+/// or untyped value, the one case where the engine's general `=` degenerates
+/// to exact string equality and an exact-value probe is sound. Owners found
+/// through the local-name-keyed index are re-verified against the full
+/// attribute `QName` and value (an element may carry `x:id` next to `id`,
+/// and Galax-quirks construction allows duplicate attribute names).
+fn fused_attr_eq_candidates(
+    node: NodeId,
+    fused: &FusedAttrEq,
+    rhs: &Sequence,
+    store: &Store,
+) -> Option<Vec<NodeId>> {
+    let atoms = atomize(rhs, store);
+    let mut values: Vec<&str> = Vec::with_capacity(atoms.len());
+    for a in &atoms {
+        match a {
+            Atomic::Str(s) | Atomic::Untyped(s) => values.push(s),
+            // Numeric or boolean comparand: `=` casts the untyped attribute
+            // instead of comparing strings, so the index can't answer it.
+            _ => return None,
+        }
+    }
+    let mut matched = Vec::new();
+    for v in &values {
+        for owner in store.elements_with_attr_value(node, fused.attr.local_sym(), v) {
+            let verified = store.parent(owner) == Some(node)
+                && matches!(store.kind(owner), NodeKind::Element(q) if *q == fused.child)
+                && store.attributes(owner).iter().any(|&a| {
+                    matches!(store.kind(a), NodeKind::Attribute(q, val) if *q == fused.attr && **val == **v)
+                });
+            if verified {
+                matched.push(owner);
+            }
+        }
+    }
+    // Children of one node: document order is sibling order, and repeated
+    // RHS values can surface an owner twice.
+    Some(dedup_sorted(matched, store))
+}
+
+/// Recognizes a `//`-step the name index can answer (see [`FusedStep`]).
+/// Name tests are interned `QName`s, so any unprefixed predicate-free
+/// `//name` or `//@name` step qualifies.
 pub(crate) fn fused_double_slash_step(expr: &LExpr) -> Option<FusedStep> {
     let LExpr::AxisStep {
         axis,
@@ -1896,8 +1915,19 @@ pub(crate) fn fused_double_slash_step(expr: &LExpr) -> Option<FusedStep> {
     }
 }
 
-/// Lowered mirror of the walker's `is_focus_free_simple`: the comparand may
-/// not depend on the candidate node, and evaluating it once instead of per
+/// A path whose only step is a `//name` or `//@name` step the name index
+/// answers: the shape whose `count` and existence skip the step entirely
+/// (behind `runtime_opt`). Shared with [`crate::obs::explain`] so the plan
+/// annotation matches this gate.
+pub(crate) fn lone_index_step(steps: &[LPathStep]) -> Option<FusedStep> {
+    match steps {
+        [step] if step.double_slash => fused_double_slash_step(&step.expr),
+        _ => None,
+    }
+}
+
+/// Focus-free in the shallow sense the fused predicate needs: the comparand
+/// may not depend on the candidate node, and evaluating it once instead of per
 /// candidate must be unobservable — no calls (hence no `fn:trace`), no
 /// constructors; path steps rebind their own focus and are predicate-free.
 fn is_focus_free_simple(e: &LExpr) -> bool {
@@ -1944,8 +1974,10 @@ pub(crate) fn is_fused_attr_eq(axis: Axis, test: &LNodeTest, predicates: &[LExpr
     fused_attr_eq_step(axis, test, predicates).is_some()
 }
 
-/// Lowered mirror of the walker's `fused_attr_eq_step`: names are already
-/// interned `QName`s here, so the unprefixed restriction is a symbol check.
+/// Recognizes `child::name[@attr = RHS]…` (either operand order) on the
+/// child axis with unprefixed names. Later predicates stay generic; the
+/// first predicate never consults `position()`/`last()` (it's a
+/// comparison), so skipping the per-candidate focus for it is unobservable.
 fn fused_attr_eq_step<'a>(
     axis: Axis,
     test: &LNodeTest,
@@ -1976,6 +2008,8 @@ fn fused_attr_eq_step<'a>(
     })
 }
 
+/// The lowered node test: names were parsed to `QName`s at compile time, so
+/// matching is symbol equality, never a string render.
 pub(crate) fn node_test_matches(test: &LNodeTest, axis: Axis, node: NodeId, store: &Store) -> bool {
     let kind = store.kind(node);
     match test {
