@@ -2,6 +2,7 @@
 //! injection, line counting (E6), and the type-metastasis analysis (E8).
 
 pub mod corpus;
+pub mod harness;
 pub mod scenario;
 
 use awb::workload::{it_architecture, it_metamodel, ItScale};

@@ -87,23 +87,13 @@ pub struct ScenarioConfig {
     pub seed: u64,
 }
 
-impl ScenarioConfig {
-    /// The CI smoke shape: small corpus, short schedule, fixed seed.
-    pub fn smoke() -> Self {
-        ScenarioConfig {
-            corpus_nodes: 3_000,
-            ops: 60,
-            seed: 42,
-        }
-    }
-}
-
-/// Per-class results: how many ops ran, their aggregate throughput, and the
-/// latency tail.
+/// Per-class results: how many ops ran, their summed latency, their
+/// aggregate throughput, and the latency tail.
 #[derive(Debug, Clone)]
 pub struct ClassReport {
     pub class: OpClass,
     pub count: usize,
+    pub total_ms: f64,
     pub qps: f64,
     pub p50_ms: f64,
     pub p95_ms: f64,
@@ -148,6 +138,7 @@ fn summarize(samples: Vec<(OpClass, f64)>, total_ms: f64) -> ScenarioReport {
             ClassReport {
                 class,
                 count: ms.len(),
+                total_ms: class_total,
                 qps: if class_total > 0.0 {
                     ms.len() as f64 / (class_total / 1e3)
                 } else {
@@ -421,6 +412,8 @@ mod tests {
                 assert!(row.qps > 0.0, "{} qps", class.name());
             }
         }
+        let total: usize = report.rows.iter().map(|r| r.count).sum();
+        assert_eq!(total, 40, "every scheduled op must run");
         assert!(report.total_ms > 0.0);
     }
 }
