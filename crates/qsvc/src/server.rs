@@ -373,8 +373,6 @@ impl Connection {
             "galax_quirks" => set_bool(value, &mut options.galax_quirks),
             "optimize" => set_bool(value, &mut options.optimize),
             "static_typing" => set_bool(value, &mut options.static_typing),
-            "runtime_opt" => set_bool(value, &mut options.runtime_opt),
-            "stream" => set_bool(value, &mut options.stream),
             "recursion_limit" => match value.parse::<usize>() {
                 Ok(n) => {
                     options.recursion_limit = n;

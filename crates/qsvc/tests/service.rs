@@ -1,4 +1,4 @@
-//! End-to-end tests for the query service: the seven-config differential
+//! End-to-end tests for the query service: the four-config differential
 //! (no cross-config plan leakage), the hot-set hit rate, error fidelity
 //! across the socket, document reload/remount, and a multi-client smoke
 //! test with clean shutdown.
@@ -19,13 +19,15 @@ fn test_config() -> ServiceConfig {
     }
 }
 
-/// The same seven configurations the engine's differential suite runs:
-/// each as (name, OPTION verb settings, locally-built equivalent).
-fn seven_configs() -> Vec<(
+/// One configuration: (name, OPTION verb settings, locally-built equivalent).
+type Config = (
     &'static str,
     Vec<(&'static str, &'static str)>,
     EngineOptions,
-)> {
+);
+
+/// The same four configurations the engine's differential suite runs.
+fn four_configs() -> Vec<Config> {
     vec![
         (
             "standard",
@@ -50,35 +52,6 @@ fn seven_configs() -> Vec<(
             vec![("preset", "default"), ("optimize", "false")],
             EngineOptions {
                 optimize: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "runtime-unoptimized",
-            vec![("preset", "default"), ("runtime_opt", "false")],
-            EngineOptions {
-                runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "fully-unoptimized",
-            vec![
-                ("preset", "default"),
-                ("optimize", "false"),
-                ("runtime_opt", "false"),
-            ],
-            EngineOptions {
-                optimize: false,
-                runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "stream-off",
-            vec![("preset", "default"), ("stream", "false")],
-            EngineOptions {
-                stream: false,
                 ..Default::default()
             },
         ),
@@ -145,14 +118,14 @@ fn service_outcome(client: &mut Client, query: &str, with_doc: bool) -> Outcome 
 /// come back from the service byte-identical (result or error — code,
 /// position, message) to a fresh single-use engine. This is the direct
 /// "no cross-config plan leakage" proof: the same query texts flow through
-/// the one shared plan cache under all seven fingerprints.
+/// the one shared plan cache under all four fingerprints.
 #[test]
-fn seven_config_differential_through_the_service() {
+fn every_config_differential_through_the_service() {
     let service = Service::spawn(test_config()).unwrap();
     let mut loader = Client::connect(service.addr(), Some("loader")).unwrap();
     loader.load("doc", DOC).unwrap();
 
-    for (name, settings, options) in seven_configs() {
+    for (name, settings, options) in four_configs() {
         let mut client = Client::connect(service.addr(), Some(name)).unwrap();
         let mut fingerprint = String::new();
         for (k, v) in settings {
@@ -177,7 +150,7 @@ fn seven_config_differential_through_the_service() {
     // grow by the uncacheable compile error (one per config), while every
     // other probe hits.
     let (_, misses_before, _, entries_before) = service.plan_cache_counters();
-    for (name, settings, _) in seven_configs() {
+    for (name, settings, _) in four_configs() {
         let mut client = Client::connect(service.addr(), Some(name)).unwrap();
         for (k, v) in settings {
             client.set_option(k, v).unwrap();
@@ -193,11 +166,38 @@ fn seven_config_differential_through_the_service() {
     );
     assert_eq!(
         misses_after - misses_before,
-        7,
+        4,
         "only the compile-error query (never cached) may miss again, once per config"
     );
-    // Five cacheable queries under seven mutually distinct fingerprints.
-    assert_eq!(entries_after, 5 * 7, "one plan per (text, config) pair");
+    // Five cacheable queries under four mutually distinct fingerprints.
+    assert_eq!(entries_after, 5 * 4, "one plan per (text, config) pair");
+}
+
+/// The lowered runner has no switches of its own, so `OPTION runtime_opt`
+/// and `OPTION stream` are unknown options: a structured `ERR PROTO` that
+/// leaves the session's options untouched and every session usable.
+#[test]
+fn removed_runner_options_are_rejected_and_sessions_survive() {
+    let service = Service::spawn(test_config()).unwrap();
+    let mut client = Client::connect(service.addr(), Some("knobs")).unwrap();
+    let mut other = Client::connect(service.addr(), Some("bystander")).unwrap();
+    client.load("doc", DOC).unwrap();
+    let fingerprint = client.set_option("preset", "default").unwrap();
+    for name in ["runtime_opt", "stream"] {
+        for value in ["false", "true"] {
+            let err = client.set_option(name, value).unwrap_err();
+            let err = err.service().expect("structured error");
+            assert_eq!(err.code, "PROTO");
+            assert_eq!(err.message, format!("unknown option {name:?}"));
+            assert_eq!(client.query("doc", "count(//item)").unwrap(), "3");
+            assert_eq!(other.query("-", "1 + 1").unwrap(), "2");
+        }
+    }
+    assert_eq!(
+        client.set_option("preset", "default").unwrap(),
+        fingerprint,
+        "a rejected OPTION must not change the session's options"
+    );
 }
 
 /// The paper-motivated number: a service looping over a small hot set of
@@ -329,7 +329,7 @@ fn reload_and_option_change_remount_correctly() {
         "4",
         "the stale mount must be replaced after a re-LOAD"
     );
-    client.set_option("stream", "false").unwrap();
+    client.set_option("optimize", "false").unwrap();
     assert_eq!(
         client.query("doc", "count(//item)").unwrap(),
         "4",

@@ -53,9 +53,10 @@
 //! `next()` itself is infallible and effect-free: interleaving pulls with
 //! consumer work (a FLWOR `return`, a quantifier body) is unobservable, and
 //! abandoning a cursor early changes no output, no error, and no trace.
-//! The differential corpus pins this under every engine config, including
-//! the `XQ_STREAM=0` mirror that forces every consumer back onto the
-//! materialised evaluator.
+//! The differential corpus pins this under every engine config against the
+//! tree walker ([`crate::eval`]), which never streams. The runner's
+//! materialised step loop is only the fallback for chains this module
+//! rejects.
 
 use crate::ast::{Axis, CmpOp};
 use crate::functions::Builtin;

@@ -432,15 +432,15 @@ fn join_corpus_matches_reference_unoptimized() {
     }
 }
 
+/// The name is kept from when the lowered-plan optimiser (hoisting, hash
+/// join, lone-`//name` index answers) had an off switch. It has none now,
+/// so the three corpora that ran with it off are held against the walker
+/// on the one runner path, and the join corpus must show the optimiser
+/// ran: at least one of its queries is compiled to a hash join.
 #[test]
 fn all_corpora_match_reference_with_runtime_opt_off() {
-    // The same three corpora with the lowered-plan optimiser forced off:
-    // no hoisting, no hash join, no lone-`//name` index answers — the plain
-    // program must still match the walker everywhere.
-    let mut e = Engine::with_options(EngineOptions {
-        runtime_opt: false,
-        ..Default::default()
-    });
+    let mut e = Engine::new();
+    let mut hash_joins = 0;
     for (doc_xml, corpus) in [
         (DOC, CORPUS),
         (DEEP_DOC, AXIS_CORPUS),
@@ -449,8 +449,15 @@ fn all_corpora_match_reference_with_runtime_opt_off() {
         let doc = e.load_document(doc_xml).unwrap();
         for src in corpus {
             assert_equivalent(&mut e, src, Some(doc)).unwrap();
+            if let Ok(q) = e.compile(src) {
+                hash_joins += q.plan_stats.hash_joins;
+            }
         }
     }
+    assert!(
+        hash_joins >= 1,
+        "no corpus query was compiled to a hash join"
+    );
 }
 
 /// A wide document for the streaming corpus: enough `item`s that positional
@@ -639,16 +646,14 @@ fn stream_corpus_matches_reference_unoptimized() {
     }
 }
 
+/// The name is kept from when the cursor runtime had an off switch. It has
+/// none now, so the four corpora that ran with streaming off are held
+/// against the materialising walker on the one runner path, and the
+/// streaming corpus must show the cursors ran: its lowered runs stream
+/// items.
 #[test]
 fn all_corpora_match_reference_with_stream_off() {
-    // The `XQ_OPT=0` mirror for the cursor runtime: every corpus with
-    // streaming forced off must match the walker — and, via the
-    // `stream-off` entry in `engine_configs()`, byte-match the streamed
-    // run everywhere else in this file.
-    let mut e = Engine::with_options(EngineOptions {
-        stream: false,
-        ..Default::default()
-    });
+    let mut e = Engine::new();
     for (doc_xml, corpus) in [
         (DOC, CORPUS),
         (DEEP_DOC, AXIS_CORPUS),
@@ -660,56 +665,36 @@ fn all_corpora_match_reference_with_stream_off() {
             assert_equivalent(&mut e, src, Some(doc)).unwrap();
         }
     }
+    let doc = e.load_document(STREAM_DOC).unwrap();
+    let mut items_streamed = 0;
+    for src in STREAM_CORPUS {
+        if let Ok(q) = e.compile(src) {
+            let _ = e.evaluate(&q, Some(doc));
+            items_streamed += e.last_stats().items_streamed;
+        }
+    }
+    assert!(items_streamed > 0, "the streaming corpus streamed no items");
 }
 
 #[test]
 fn stream_corpus_streamed_and_materialised_traces_are_identical() {
-    // Beyond walker equivalence: the streamed lowered run and the
-    // stream-off lowered run must produce the same display output AND the
-    // same `fn:trace` event order, with the streamed side never
-    // allocating more than the materialised side.
-    let mut on = Engine::new();
-    let mut off = Engine::with_options(EngineOptions {
-        stream: false,
-        ..Default::default()
-    });
-    let doc_on = on.load_document(STREAM_DOC).unwrap();
-    let doc_off = off.load_document(STREAM_DOC).unwrap();
+    // The streamed runner against the materialising walker under the
+    // default options: same display output, same error, same `fn:trace`
+    // event order (all three checked by `assert_equivalent`) — and the
+    // runner really did pull through its cursors and stop early.
+    let mut e = Engine::new();
+    let doc = e.load_document(STREAM_DOC).unwrap();
+    let (mut streamed, mut early_exits) = (0, 0);
     for src in STREAM_CORPUS {
-        let q_on = on.compile(src).unwrap();
-        let q_off = off.compile(src).unwrap();
-        on.take_trace();
-        off.take_trace();
-        let a = on.evaluate(&q_on, Some(doc_on));
-        let b = off.evaluate(&q_off, Some(doc_off));
-        assert_eq!(
-            on.take_trace(),
-            off.take_trace(),
-            "trace order diverged on {src:?}"
-        );
-        match (a, b) {
-            (Ok(a), Ok(b)) => assert_eq!(
-                on.display_sequence(&a),
-                off.display_sequence(&b),
-                "value diverged on {src:?}"
-            ),
-            (Err(a), Err(b)) => assert_eq!(
-                (a.code, a.message, a.position),
-                (b.code, b.message, b.position),
-                "error diverged on {src:?}"
-            ),
-            (a, b) => panic!("outcome kind diverged on {src:?}: {a:?} vs {b:?}"),
-        }
-        assert!(
-            on.last_stats().items_allocated <= off.last_stats().items_allocated,
-            "streaming allocated more on {src:?}: {} vs {}",
-            on.last_stats().items_allocated,
-            off.last_stats().items_allocated
-        );
-        for (name, value) in off.last_stats().stream_counters() {
-            assert_eq!(value, 0, "counter {name} must be zero with streaming off");
+        assert_equivalent(&mut e, src, Some(doc)).unwrap();
+        if let Ok(q) = e.compile(src) {
+            let _ = e.evaluate(&q, Some(doc));
+            streamed += e.last_stats().items_streamed;
+            early_exits += e.last_stats().cursor_early_exits;
         }
     }
+    assert!(streamed > 0, "the stream corpus pulled nothing");
+    assert!(early_exits > 0, "the stream corpus never stopped early");
 }
 
 /// Generator for the property-based differential run: well-formed-ish
@@ -822,11 +807,12 @@ fn atom_list(atoms: &[String]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The FLWOR hash join is observably identical to the quadratic scan:
-    /// the same program runs with the runtime optimiser on (join marked,
-    /// table probed) and off (plain nested loop), plus the tree walker for
-    /// each. Mixed string/integer atoms exercise the build abort and the
-    /// per-tuple probe fallback; `dup` probes exercise the bucket merge.
+    /// The FLWOR hash join is observably identical to the quadratic scan
+    /// the tree walker runs: the join is marked, the table probed, and every
+    /// tuple's outcome matches. Mixed string/integer atoms exercise the
+    /// build abort and the per-tuple probe fallback; `dup` probes exercise
+    /// the bucket merge. With both inputs non-empty every outer tuple must
+    /// count as a probe or a fallback.
     #[test]
     fn flwor_hash_join_matches_quadratic_scan(
         outer in prop::collection::vec(atom(), 0..8),
@@ -839,36 +825,64 @@ proptest! {
             atom_list(&outer),
             atom_list(&inner),
         );
-        let mut on = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
-        let mut off = Engine::with_options(EngineOptions {
-            runtime_opt: false,
-            ..Default::default()
-        });
-        // Each engine agrees with its own tree walker…
-        if let Err(msg) = assert_equivalent(&mut on, &src, None) {
+        let mut e = Engine::new();
+        if let Err(msg) = assert_equivalent(&mut e, &src, None) {
             return Err(TestCaseError::fail(msg));
         }
-        if let Err(msg) = assert_equivalent(&mut off, &src, None) {
-            return Err(TestCaseError::fail(msg));
+        let q = e.compile(&src).unwrap();
+        prop_assert_eq!(q.plan_stats.hash_joins, 1);
+        e.evaluate(&q, None).unwrap();
+        let stats = *e.last_stats();
+        if !outer.is_empty() && !inner.is_empty() {
+            prop_assert!(
+                stats.join_probes + stats.join_fallbacks >= 1,
+                "the join must count its activity, got {:?}",
+                stats
+            );
         }
-        // …the optimised compile really did mark the join, the plain one
-        // didn't…
-        let qo = on.compile(&src).unwrap();
-        let qu = off.compile(&src).unwrap();
-        prop_assert_eq!(qo.plan_stats.hash_joins, 1);
-        prop_assert_eq!(qu.plan_stats.hash_joins, 0);
-        // …and the two engines agree with each other.
-        let a = on.evaluate(&qo, None).unwrap();
-        let b = off.evaluate(&qu, None).unwrap();
-        prop_assert_eq!(on.display_sequence(&a), off.display_sequence(&b));
     }
 
-    /// The hashed general comparison agrees with the pairwise scan on
-    /// random atom sequences, for `=` and `!=` alike — the optimised and
-    /// unoptimised engines and both tree walkers see one truth value.
+    /// The name is kept from when the runner's optimised paths had an off
+    /// switch. The walker is now the one unoptimised path: on non-empty
+    /// generated join inputs the runner matches it, counts its join
+    /// activity, and the walker run that follows reports every join and
+    /// cache counter as zero.
+    #[test]
+    fn runtime_opt_off_is_identical_and_reports_zero_opt_counters(
+        outer in prop::collection::vec(atom(), 1..6),
+        inner in prop::collection::vec(atom(), 1..8),
+    ) {
+        let src = format!(
+            "for $n in {} for $r in {} where $r = $n return ($r, '|')",
+            atom_list(&outer),
+            atom_list(&inner),
+        );
+        let mut e = Engine::new();
+        let q = e.compile(&src).unwrap();
+        e.evaluate(&q, None).unwrap();
+        let stats = *e.last_stats();
+        prop_assert!(
+            stats.join_probes + stats.join_fallbacks >= 1,
+            "the runner must count its join activity, got {:?}",
+            stats
+        );
+        if let Err(msg) = assert_equivalent(&mut e, &src, None) {
+            return Err(TestCaseError::fail(msg));
+        }
+        let walker = *e.last_stats();
+        for (name, value) in [
+            ("join_builds", walker.join_builds),
+            ("join_probes", walker.join_probes),
+            ("join_fallbacks", walker.join_fallbacks),
+            ("cache_hits", walker.cache_hits),
+            ("cache_resets", walker.cache_resets),
+        ] {
+            prop_assert_eq!(value, 0, "the walker counted {}", name);
+        }
+    }
+
+    /// The hashed general comparison agrees with the walker's pairwise scan
+    /// on random atom sequences, for `=` and `!=` alike.
     #[test]
     fn hashed_general_compare_matches_scan(
         a in prop::collection::vec(atom(), 0..12),
@@ -877,22 +891,9 @@ proptest! {
     ) {
         let op = if ne { "!=" } else { "=" };
         let src = format!("{} {op} {}", atom_list(&a), atom_list(&b));
-        let mut on = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
-        let mut off = Engine::with_options(EngineOptions {
-            runtime_opt: false,
-            ..Default::default()
-        });
-        for e in [&mut on, &mut off] {
-            if let Err(msg) = assert_equivalent(e, &src, None) {
-                return Err(TestCaseError::fail(msg));
-            }
+        if let Err(msg) = assert_equivalent(&mut Engine::new(), &src, None) {
+            return Err(TestCaseError::fail(msg));
         }
-        let x = on.evaluate_str(&src, None).unwrap();
-        let y = off.evaluate_str(&src, None).unwrap();
-        prop_assert_eq!(on.display_sequence(&x), off.display_sequence(&y));
     }
 }
 
@@ -909,12 +910,7 @@ fn quirks_trace_deletion_survives_the_runtime_passes() {
                let $live := concat('n', $i) \
                return ($live, string($m/node[1]/@id))";
 
-    // `runtime_opt` is pinned on (not left to `XQ_OPT`) so the hoist
-    // assertion holds even when the suite runs with the optimiser off.
-    let mut galax = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..EngineOptions::galax()
-    });
+    let mut galax = Engine::galax();
     let doc = galax.load_document(JOIN_DOC).unwrap();
     let q = galax.compile(src).unwrap();
     assert_eq!(q.stats.traces_removed, 1, "the dead trace is deleted");
@@ -934,10 +930,7 @@ fn quirks_trace_deletion_survives_the_runtime_passes() {
     assert!(galax.take_trace().is_empty());
 
     // Standard mode: the same value, but the trace fires per tuple.
-    let mut fixed = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
+    let mut fixed = Engine::new();
     let doc = fixed.load_document(JOIN_DOC).unwrap();
     let q = fixed.compile(src).unwrap();
     assert_eq!(q.stats.traces_removed, 0, "standard mode deletes nothing");
@@ -1051,10 +1044,7 @@ fn trace_reaches_the_sink_under_full_optimisation() {
                let $live := concat('n', $i) \
                return ($live, string($m/node[1]/@id))";
     let sink = SharedSink::default();
-    let mut e = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
+    let mut e = Engine::new();
     e.set_trace_sink(Box::new(sink.clone()));
     let doc = e.load_document(JOIN_DOC).unwrap();
     let q = e.compile(src).unwrap();
@@ -1085,19 +1075,15 @@ fn trace_reaches_the_sink_under_full_optimisation() {
 
 /// The acceptance path for the E1 join query: `explain()` names the
 /// hash-join rewrite, `last_stats()` proves it executed (a build and some
-/// probes), and the same query with the runtime passes off admits to doing
-/// none of it — while producing the identical answer.
+/// probes), and the answer is the tree walker's.
 #[test]
 fn e1_join_is_observable_end_to_end() {
     let src = JOIN_CORPUS[0];
 
-    let mut on = Engine::with_options(EngineOptions {
-        runtime_opt: true,
-        ..Default::default()
-    });
-    let doc = on.load_document(JOIN_DOC).unwrap();
-    let q = on.compile(src).unwrap();
-    let plan = on.explain(&q);
+    let mut e = Engine::new();
+    let doc = e.load_document(JOIN_DOC).unwrap();
+    let q = e.compile(src).unwrap();
+    let plan = e.explain(&q);
     assert!(
         plan.contains("hash join: build side"),
         "explain must mark the join:\n{plan}"
@@ -1106,30 +1092,15 @@ fn e1_join_is_observable_end_to_end() {
         plan.contains("equality subsumed by the hash join"),
         "explain must mark the subsumed where:\n{plan}"
     );
-    let out = on.evaluate(&q, Some(doc)).unwrap();
-    let stats = *on.last_stats();
+    let out = e.evaluate(&q, Some(doc)).unwrap();
+    let stats = *e.last_stats();
     assert!(stats.join_builds >= 1, "stats: {stats:?}");
     assert!(stats.join_probes > 0, "stats: {stats:?}");
 
-    let mut off = Engine::with_options(EngineOptions {
-        runtime_opt: false,
-        ..Default::default()
-    });
-    let doc_off = off.load_document(JOIN_DOC).unwrap();
-    let q_off = off.compile(src).unwrap();
-    let plan_off = off.explain(&q_off);
-    assert!(
-        plan_off.contains("0 hash join(s)"),
-        "unoptimised plan claims no joins:\n{plan_off}"
-    );
-    assert!(!plan_off.contains("hash join: build side"));
-    let out_off = off.evaluate(&q_off, Some(doc_off)).unwrap();
-    for (name, value) in off.last_stats().opt_counters() {
-        assert_eq!(value, 0, "counter {name} must be zero with runtime_opt off");
-    }
+    let reference = e.evaluate_reference(&q, Some(doc)).unwrap();
     assert_eq!(
-        on.display_sequence(&out),
-        off.display_sequence(&out_off),
+        e.display_sequence(&out),
+        e.display_sequence(&reference),
         "observability must not change the answer"
     );
 }
@@ -1164,10 +1135,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random streamable paths, wrapped in every cursor-served consumer,
-    /// against a force-materialised twin (`stream: false`): the displayed
-    /// value must be identical and the streamed run must never allocate
-    /// more items than the materialised one — the cursor is a pure
-    /// evaluation-order change, visible only in the counters.
+    /// against the materialising tree walker: values, errors and traces
+    /// must be identical, and a streamed consumer must never allocate more
+    /// items than it returns — the cursor is a pure evaluation-order
+    /// change, visible only in the counters.
     #[test]
     fn streamed_paths_match_materialised_twin_and_never_allocate_more(
         path in stream_path(),
@@ -1183,30 +1154,22 @@ proptest! {
             4 => format!("for $i in {path} return string($i)"),
             _ => format!("some $i in {path} satisfies string-length(string($i)) > {l}"),
         };
-        let mut on = Engine::new();
-        let mut off = Engine::with_options(EngineOptions {
-            stream: false,
-            ..Default::default()
-        });
-        let doc_on = on.load_document(STREAM_DOC).unwrap();
-        let doc_off = off.load_document(STREAM_DOC).unwrap();
-        let a = on.evaluate_str(&src, Some(doc_on)).unwrap();
-        let b = off.evaluate_str(&src, Some(doc_off)).unwrap();
-        prop_assert_eq!(
-            on.display_sequence(&a),
-            off.display_sequence(&b),
-            "value diverged on {}",
-            src
-        );
-        prop_assert!(
-            on.last_stats().items_allocated <= off.last_stats().items_allocated,
-            "streaming allocated more on {}: {} vs {}",
-            src,
-            on.last_stats().items_allocated,
-            off.last_stats().items_allocated
-        );
-        for (name, value) in off.last_stats().stream_counters() {
-            prop_assert_eq!(value, 0, "counter {} must be zero with streaming off", name);
+        let mut e = Engine::new();
+        let doc = e.load_document(STREAM_DOC).unwrap();
+        if let Err(msg) = assert_equivalent(&mut e, &src, Some(doc)) {
+            return Err(TestCaseError::fail(msg));
+        }
+        let out = e.evaluate_str(&src, Some(doc)).unwrap();
+        // A bare path that is not positional finishes on the step loop,
+        // which allocates its intermediate sequences by design.
+        if consumer > 0 {
+            prop_assert!(
+                e.last_stats().items_allocated <= out.len() as u64,
+                "streaming allocated more than it returned on {}: {} > {}",
+                src,
+                e.last_stats().items_allocated,
+                out.len()
+            );
         }
     }
 
@@ -1241,45 +1204,6 @@ proptest! {
             }
         }
     }
-
-    /// With the runtime passes off the engine must not only produce
-    /// byte-identical results — it must also ADMIT to doing no optimised
-    /// work: every join/cache/streaming counter reads zero.
-    #[test]
-    fn runtime_opt_off_is_identical_and_reports_zero_opt_counters(
-        outer in prop::collection::vec(atom(), 1..6),
-        inner in prop::collection::vec(atom(), 1..8),
-    ) {
-        let src = format!(
-            "for $n in {} for $r in {} where $r = $n return ($r, '|')",
-            atom_list(&outer),
-            atom_list(&inner),
-        );
-        let mut on = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
-        let mut off = Engine::with_options(EngineOptions {
-            runtime_opt: false,
-            ..Default::default()
-        });
-        let a = on.evaluate_str(&src, None).unwrap();
-        let b = off.evaluate_str(&src, None).unwrap();
-        prop_assert_eq!(on.display_sequence(&a), off.display_sequence(&b));
-        // The join is marked on this shape, so every tuple either probed
-        // the table or fell back (the build aborts on non-string keys) —
-        // with non-empty inputs the optimised engine must have counted
-        // one or the other.
-        let on_stats = *on.last_stats();
-        prop_assert!(
-            on_stats.join_probes + on_stats.join_fallbacks >= 1,
-            "the optimised engine must count its join activity, got {:?}",
-            on_stats
-        );
-        for (name, value) in off.last_stats().opt_counters() {
-            prop_assert_eq!(value, 0, "counter {} must be zero with runtime_opt off", name);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1295,10 +1219,10 @@ proptest! {
 use crate::engine::{CompiledQuery, DupAttrPolicy, StackPool};
 use std::sync::Arc;
 
-/// The engine configurations the serial corpus tests above run under, plus
-/// the three opt-out variants: AST optimizer off, the lowered-plan passes
-/// (hoisting, hash join, lone-`//name` index answers) off, and the cursor
-/// runtime off (everything materialises eagerly, the `XQ_STREAM=0` shape).
+/// The engine configurations the serial corpus tests above run under: the
+/// paper-faithful semantics switches (duplicate-attribute policy, Galax
+/// quirks, the AST optimizer). The lowered runner has no switches of its
+/// own; the tree walker is its one reference.
 fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
     vec![
         (
@@ -1314,28 +1238,6 @@ fn engine_configs() -> Vec<(&'static str, EngineOptions)> {
             "unoptimized",
             EngineOptions {
                 optimize: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "runtime-unoptimized",
-            EngineOptions {
-                runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "fully-unoptimized",
-            EngineOptions {
-                optimize: false,
-                runtime_opt: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "stream-off",
-            EngineOptions {
-                stream: false,
                 ..Default::default()
             },
         ),
@@ -1414,9 +1316,8 @@ fn pooled_corpus_is_byte_identical_to_serial_under_all_configs() {
 fn substrate_sweep_frozen_matches_thawed_under_all_configs() {
     // The frozen arena substrate and the thawed legacy overlay must be
     // observably identical: every corpus case produces byte-identical
-    // outcomes under all six configs whether the document stays frozen
-    // (the post-parse default) or is force-thawed first — including with
-    // every optimisation switched off.
+    // outcomes under all four configs whether the document stays frozen
+    // (the post-parse default) or is force-thawed first.
     let cases = corpus_cases();
     for (name, options) in engine_configs() {
         for &(doc_xml, src) in &cases {

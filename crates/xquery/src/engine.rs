@@ -42,7 +42,10 @@ pub struct EngineOptions {
     /// [`EngineOptions::optimize`] — dead-code elimination that deletes
     /// `fn:trace` calls.
     pub galax_quirks: bool,
-    /// Run the optimizer at compile time.
+    /// Run the paper-faithful AST optimizer at compile time (its quirks-mode
+    /// trace-DCE is itself under test). The lowered-plan pass
+    /// ([`crate::lopt`]) is not optional: it always runs on the program the
+    /// runner executes.
     pub optimize: bool,
     /// Duplicate-attribute handling in constructors.
     pub dup_attr_policy: DupAttrPolicy,
@@ -63,34 +66,6 @@ pub struct EngineOptions {
     /// single-query path observably identical to the pre-pool engine; batch
     /// drivers ([`StackPool::run_batch`]) raise this to overlap documents.
     pub eval_workers: usize,
-    /// Enable the lowered-program optimisation layer: the loop-invariant
-    /// hoisting pass over the lowered [`Program`], the hash-join existential
-    /// general comparison, and the name-index answers for `count` and
-    /// existence over a path whose only step is `//name` or `//@name`.
-    /// Existence over any other path belongs to [`EngineOptions::stream`].
-    /// All of these are gated rewrites that must be observably
-    /// identical to the plain paths (the differential suite runs with this
-    /// both on and off); the flag exists so CI can pin that claim and so a
-    /// regression can be bisected at runtime. Defaults to `true`; setting
-    /// the `XQ_OPT=0` environment variable forces it off. Distinct from
-    /// [`EngineOptions::optimize`], which is the paper-faithful *AST*
-    /// optimizer whose quirks-mode trace-DCE is itself under test.
-    pub runtime_opt: bool,
-    /// Enable the pull-based cursor runtime: qualifying paths, FLWOR `for`
-    /// bindings, prefix-consuming builtins, and existence questions
-    /// (`exists`/`empty`/`boolean`/`not` and effective-boolean-value
-    /// positions, except the lone-`//name` index shape owned by
-    /// [`EngineOptions::runtime_opt`]) evaluate by pulling items through
-    /// [`crate::cursor`] instead of materialising every intermediate
-    /// sequence. Streamed pulls are effect-free and
-    /// infallible by construction (the gate admits only predicate-free or
-    /// positionally-predicated child/attribute steps), so the toggle must
-    /// be observably invisible; the differential suite runs with it both
-    /// on and off. Defaults to `true`; setting the `XQ_STREAM=0`
-    /// environment variable forces it off — the streaming mirror of
-    /// `XQ_OPT=0` above, and independent of it so CI covers all four
-    /// combinations.
-    pub stream: bool,
 }
 
 impl Default for EngineOptions {
@@ -103,8 +78,6 @@ impl Default for EngineOptions {
             static_typing: false,
             eval_stack_bytes: 256 * 1024 * 1024,
             eval_workers: 1,
-            runtime_opt: std::env::var("XQ_OPT").map_or(true, |v| v != "0"),
-            stream: std::env::var("XQ_STREAM").map_or(true, |v| v != "0"),
         }
     }
 }
@@ -120,9 +93,9 @@ impl EngineOptions {
     }
 
     /// A stable fingerprint of every option that can change what a compiled
-    /// plan *is* (`galax_quirks` steers the AST optimizer, `optimize`,
-    /// `static_typing`, and `runtime_opt` gate whole passes) or what running
-    /// it observably does (`dup_attr_policy`, `recursion_limit`, `stream`).
+    /// plan *is* (`galax_quirks` steers the AST optimizer, `optimize` and
+    /// `static_typing` gate whole passes) or what running it observably does
+    /// (`dup_attr_policy`, `recursion_limit`).
     /// A plan cache MUST key on this next to the query text: two tenants
     /// submitting identical text under different configurations would
     /// otherwise share one plan and leak each other's semantics.
@@ -133,14 +106,12 @@ impl EngineOptions {
     /// pools is the point of caching them.
     pub fn cache_key(&self) -> String {
         format!(
-            "gq={} opt={} dup={:?} rec={} st={} ropt={} stream={}",
+            "gq={} opt={} dup={:?} rec={} st={}",
             self.galax_quirks as u8,
             self.optimize as u8,
             self.dup_attr_policy,
             self.recursion_limit,
             self.static_typing as u8,
-            self.runtime_opt as u8,
-            self.stream as u8,
         )
     }
 }
@@ -160,8 +131,7 @@ pub struct CompiledQuery {
     pub module: Arc<Module>,
     pub program: Arc<Program>,
     pub stats: OptimizerStats,
-    /// What the lowered-plan pass did (zero everywhere when
-    /// [`EngineOptions::runtime_opt`] is off).
+    /// What the lowered-plan pass ([`crate::lopt::optimize_program`]) did.
     pub plan_stats: crate::lopt::PlanStats,
 }
 
@@ -624,15 +594,11 @@ impl Engine {
         // friends see the tree they always saw, and the lowered program is a
         // faithful translation of the optimizer's output.
         let mut program = lower_module(&module)?;
-        let plan_stats = if self.options.runtime_opt {
-            // The lowered-plan pass only touches the program the runner
-            // executes; the retained module (and thus the reference walker)
-            // is untouched, which is what lets the differential suite hold
-            // the two observably identical.
-            crate::lopt::optimize_program(&mut program)
-        } else {
-            crate::lopt::PlanStats::default()
-        };
+        // The lowered-plan pass only touches the program the runner
+        // executes; the retained module (and thus the reference walker) is
+        // untouched, which is what lets the differential suite hold the two
+        // observably identical.
+        let plan_stats = crate::lopt::optimize_program(&mut program);
         Ok(CompiledQuery {
             module: Arc::new(module),
             program: Arc::new(program),
@@ -963,10 +929,10 @@ impl Engine {
 
     /// Renders the lowered-and-optimised plan for `query` as an annotated
     /// tree: which FLWOR clauses became hash-join build sides, why a join
-    /// was refused, where loop-invariant caches sit, and which calls stream
-    /// or answer from the store indexes under this engine's options.
+    /// was refused, where loop-invariant caches sit, and how each path's
+    /// consumer evaluates it (streamed, index-answered or materialised).
     pub fn explain(&self, query: &CompiledQuery) -> String {
-        crate::obs::explain(&query.program, &query.plan_stats, &self.options)
+        crate::obs::explain(&query.program, &query.plan_stats)
     }
 }
 
@@ -1243,7 +1209,7 @@ mod tests {
 
     #[test]
     fn cache_key_separates_every_semantics_config() {
-        // The seven configurations the differential suite sweeps must all
+        // The four configurations the differential suite sweeps must all
         // fingerprint differently — sharing a plan across any pair of them
         // is the cross-tenant leak the service plan cache exists to prevent.
         let configs = [
@@ -1255,19 +1221,6 @@ mod tests {
             EngineOptions::default(),
             EngineOptions {
                 optimize: false,
-                ..Default::default()
-            },
-            EngineOptions {
-                runtime_opt: false,
-                ..Default::default()
-            },
-            EngineOptions {
-                optimize: false,
-                runtime_opt: false,
-                ..Default::default()
-            },
-            EngineOptions {
-                stream: false,
                 ..Default::default()
             },
         ];

@@ -27,7 +27,6 @@
 //!   store's indexes.
 
 use crate::ast::Axis;
-use crate::engine::EngineOptions;
 use crate::lopt::{self, PlanStats};
 use crate::lower::{LExpr, LFlworClause, Program};
 use std::collections::HashMap;
@@ -113,30 +112,6 @@ impl EvalStats {
             ..*self
         }
     }
-
-    /// The counters attributable to the runtime optimisation layer; all
-    /// zero when [`EngineOptions::runtime_opt`](crate::EngineOptions) is
-    /// off.
-    pub fn opt_counters(&self) -> [(&'static str, u64); 5] {
-        [
-            ("join_builds", self.join_builds),
-            ("join_probes", self.join_probes),
-            ("join_fallbacks", self.join_fallbacks),
-            ("cache_hits", self.cache_hits),
-            ("cache_resets", self.cache_resets),
-        ]
-    }
-
-    /// The counters attributable to the streaming cursor runtime; all zero
-    /// when [`EngineOptions::stream`](crate::EngineOptions) is off (the
-    /// `XQ_STREAM=0` toggle), which `check-obs` pins.
-    pub fn stream_counters(&self) -> [(&'static str, u64); 3] {
-        [
-            ("items_streamed", self.items_streamed),
-            ("cursor_early_exits", self.cursor_early_exits),
-            ("streamed_existence", self.streamed_existence),
-        ]
-    }
 }
 
 /// Time one pool job spent queued and running, as measured by the pool
@@ -214,14 +189,13 @@ enum ResetKind {
 ///
 /// Every lopt rewrite is visible: `for` clauses carry their hash-join mark
 /// (or the reason the mark was refused when the `where` looked like a
-/// candidate), `CacheOnce` cells say whether they are loop-invariant hoists
-/// or per-tuple caches, and calls that the runner will stream or answer
-/// from an index are flagged. Each annotation checks the same `options`
-/// knob the runner checks, so a plan explained with `runtime_opt` off
-/// carries none of that layer's annotations, and one with `stream` off
-/// none of the cursor's — diffing them is the intended way to see what a
-/// layer did.
-pub fn explain(program: &Program, plan_stats: &PlanStats, options: &EngineOptions) -> String {
+/// candidate), and `CacheOnce` cells say whether they are loop-invariant
+/// hoists or per-tuple caches. Each `path` node says how the runner will
+/// evaluate it, and that depends on its consumer ([`PathUse`]): the same
+/// `//a/b` is pulled by a cursor under `exists`, `count`, a `for` binding
+/// or an `if` condition, and materialised by the step loop (its `//` step
+/// answered from the name index) anywhere else.
+pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
     let mut resets = HashMap::new();
     collect_resets(&program.body, &mut resets);
     for f in &program.functions {
@@ -240,24 +214,130 @@ pub fn explain(program: &Program, plan_stats: &PlanStats, options: &EngineOption
     let cx = ExplainCx {
         program,
         resets: &resets,
-        options,
     };
     for f in &program.functions {
         out.push_str(&format!("function {}:\n", f.name));
-        render(&f.body, 1, &cx, &mut out);
+        render(&f.body, 1, PathUse::Value, &cx, &mut out);
     }
     for g in &program.globals {
         out.push_str(&format!("global ${}:\n", g.name));
-        render(&g.expr, 1, &cx, &mut out);
+        render(&g.expr, 1, PathUse::Value, &cx, &mut out);
     }
-    render(&program.body, 0, &cx, &mut out);
+    render(&program.body, 0, PathUse::Value, &cx, &mut out);
     out
 }
 
 struct ExplainCx<'a> {
     program: &'a Program,
     resets: &'a HashMap<u32, ResetKind>,
-    options: &'a EngineOptions,
+}
+
+/// How the runner consumes a `path` node. The node's parent decides it
+/// ([`path_uses`]), mirroring the consumer gates in `run.rs`.
+#[derive(Clone, Copy)]
+enum PathUse {
+    /// Evaluated for its value by the step loop.
+    Value,
+    /// Existence or effective boolean value: `exists`/`empty`/`boolean`/
+    /// `not`, and the `if`, `where`, `and`/`or` and `satisfies` positions.
+    Exists,
+    /// The argument of `count`.
+    Count,
+    /// Pulled through a cursor by its consumer when the path streams; the
+    /// text says what the consumer does with the pulls.
+    Pulled(&'static str),
+}
+
+const STREAMED_BINDING: &str = "streamed binding: tuples pulled from a cursor";
+
+/// The children of `e` that its runner arm consumes as something other than
+/// a plain value; every other child is [`PathUse::Value`].
+fn path_uses(e: &LExpr) -> Vec<(&LExpr, PathUse)> {
+    use crate::functions::Builtin as B;
+    match e {
+        LExpr::If(c, ..) => vec![(&**c, PathUse::Exists)],
+        LExpr::And(l, r) | LExpr::Or(l, r) => {
+            vec![(&**l, PathUse::Exists), (&**r, PathUse::Exists)]
+        }
+        LExpr::Quantified {
+            bindings,
+            satisfies,
+            ..
+        } => bindings
+            .iter()
+            .map(|(_, seq)| (seq, PathUse::Pulled(STREAMED_BINDING)))
+            .chain([(&**satisfies, PathUse::Exists)])
+            .collect(),
+        // The runner streams the left operand when it is a path, and the
+        // right one only when the left is not a path.
+        LExpr::GeneralCmp(_, l, r) => {
+            let side = if matches!(**l, LExpr::Path { .. }) {
+                l
+            } else {
+                r
+            };
+            vec![(
+                &**side,
+                PathUse::Pulled("streamed comparison: pulls stop at the first hit"),
+            )]
+        }
+        LExpr::Filter(base, predicates) => match predicates.as_slice() {
+            [p] if crate::cursor::positional_predicate(p).is_some() => vec![(
+                &**base,
+                PathUse::Pulled("streamed filter: pulls stop past the last wanted position"),
+            )],
+            _ => Vec::new(),
+        },
+        LExpr::CallBuiltin { builtin, args, .. } => {
+            let literal = |i: usize| {
+                args.get(i)
+                    .is_some_and(|a| crate::run::int_literal(a).is_some())
+            };
+            let use_ = match builtin {
+                B::Exists | B::Empty | B::Boolean | B::Not => PathUse::Exists,
+                B::Count => PathUse::Count,
+                B::Subsequence if literal(1) && (args.len() == 2 || literal(2)) => {
+                    PathUse::Pulled("streamed subsequence: stops pulling past the window")
+                }
+                B::Remove | B::InsertBefore if literal(1) => {
+                    PathUse::Pulled("streamed splice: one pass, no intermediate sequence")
+                }
+                _ => return Vec::new(),
+            };
+            args.iter().take(1).map(|a| (a, use_)).collect()
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// The annotation of a `path` node under `use_`: the consumer's cursor or
+/// index answer when its gate admits the steps, else what the step loop
+/// does with them.
+fn path_annotation(steps: &[crate::lower::LPathStep], use_: PathUse) -> Option<&'static str> {
+    let index = crate::run::lone_index_step(steps).is_some();
+    let plan = crate::cursor::classify_steps(steps);
+    let streams = plan.is_some();
+    Some(match use_ {
+        PathUse::Exists if index => "index existence: answered from the per-tree name index",
+        PathUse::Count if index => "index-range count: answered from the per-tree name index",
+        PathUse::Exists if streams => {
+            "streamed existence: first cursor pull answers, no materialisation"
+        }
+        PathUse::Count if streams => {
+            "streamed count: items pulled and discarded, never materialised"
+        }
+        PathUse::Pulled(text) if streams => text,
+        _ if plan.is_some_and(|p| p.has_positional()) => {
+            "streamed path: pull cursor with positional early-exit"
+        }
+        _ if steps
+            .iter()
+            .any(|s| s.double_slash && crate::run::fused_double_slash_step(&s.expr).is_some()) =>
+        {
+            "`//` step answered from the per-tree name index"
+        }
+        _ => return None,
+    })
 }
 
 fn collect_resets(e: &LExpr, map: &mut HashMap<u32, ResetKind>) {
@@ -343,10 +423,10 @@ fn label(e: &LExpr, cx: &ExplainCx) -> String {
     }
 }
 
-/// Runtime-rewrite annotations for a node, mirroring the exact gates the
-/// runner applies (see `run.rs`): the annotation appears iff the fast path
-/// will actually be attempted.
-fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
+/// Runtime-rewrite annotations for a node consumed as `use_`, mirroring the
+/// exact gates the runner applies (see `run.rs`): the annotation appears
+/// iff the fast path will actually be attempted.
+fn annotations(e: &LExpr, use_: PathUse, cx: &ExplainCx) -> Vec<String> {
     let mut out = Vec::new();
     match e {
         LExpr::CacheOnce { slot, .. } => match cx.resets.get(slot) {
@@ -358,53 +438,7 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
             }
             None => out.push("cached once per evaluation".to_string()),
         },
-        LExpr::CallBuiltin { builtin, args, .. } => {
-            use crate::functions::Builtin as B;
-            let (opt, stream) = (cx.options.runtime_opt, cx.options.stream);
-            if let [LExpr::Path { steps, .. }] = args.as_slice() {
-                let index_step = opt && crate::run::lone_index_step(steps).is_some();
-                let streams = stream && crate::cursor::classify_steps(steps).is_some();
-                match builtin {
-                    B::Exists | B::Empty | B::Boolean | B::Not if index_step => out
-                        .push("index existence: answered from the per-tree name index".to_string()),
-                    B::Exists | B::Empty | B::Boolean | B::Not if streams => out.push(
-                        "streamed existence: first cursor pull answers, no materialisation"
-                            .to_string(),
-                    ),
-                    B::Count if index_step => out.push(
-                        "index-range count: answered from the per-tree name index".to_string(),
-                    ),
-                    B::Count if streams => out.push(
-                        "streamed count: items pulled and discarded, never materialised"
-                            .to_string(),
-                    ),
-                    _ => {}
-                }
-            }
-            if matches!(builtin, B::Subsequence) && stream {
-                if let Some(LExpr::Path { steps, .. }) = args.first() {
-                    if crate::cursor::classify_steps(steps).is_some()
-                        && args[1..]
-                            .iter()
-                            .all(|a| matches!(a, LExpr::Literal(crate::value::Atomic::Int(_))))
-                    {
-                        out.push("streamed subsequence: stops pulling past the window".to_string());
-                    }
-                }
-            }
-        }
-        LExpr::Path { steps, .. } => {
-            let positional = cx.options.stream
-                && crate::cursor::classify_steps(steps).is_some_and(|p| p.has_positional());
-            if positional {
-                out.push("streamed path: pull cursor with positional early-exit".to_string());
-            } else if steps
-                .iter()
-                .any(|s| s.double_slash && crate::run::fused_double_slash_step(&s.expr).is_some())
-            {
-                out.push("`//` step answered from the per-tree name index".to_string());
-            }
-        }
+        LExpr::Path { steps, .. } => out.extend(path_annotation(steps, use_).map(String::from)),
         LExpr::AxisStep {
             axis,
             test,
@@ -418,9 +452,21 @@ fn annotations(e: &LExpr, cx: &ExplainCx) -> Vec<String> {
     out
 }
 
-fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
+fn render(e: &LExpr, depth: usize, use_: PathUse, cx: &ExplainCx, out: &mut String) {
+    render_with(e, depth, use_, &path_uses(e), cx, out);
+}
+
+/// [`render`] with the children's uses given by the caller.
+fn render_with(
+    e: &LExpr,
+    depth: usize,
+    use_: PathUse,
+    child_uses: &[(&LExpr, PathUse)],
+    cx: &ExplainCx,
+    out: &mut String,
+) {
     let mut text = label(e, cx);
-    for a in annotations(e, cx) {
+    for a in annotations(e, use_, cx) {
         text.push_str("  [");
         text.push_str(&a);
         text.push(']');
@@ -452,10 +498,6 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
                         head.push_str(&format!(
                             "  [hash join: build side; key = {side:?} operand of `where`]"
                         ));
-                    } else if let LExpr::Path { steps, .. } = seq {
-                        if cx.options.stream && crate::cursor::classify_steps(steps).is_some() {
-                            head.push_str("  [streamed binding: tuples pulled from a cursor]");
-                        }
                     }
                     if !reset_entry.is_empty() {
                         head.push_str(&format!(
@@ -470,13 +512,18 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
                         ));
                     }
                     line(depth + 1, &head, out);
-                    render(seq, depth + 2, cx, out);
+                    // A join's build side is materialised whole for its table.
+                    let use_ = match join {
+                        Some(_) => PathUse::Value,
+                        None => PathUse::Pulled(STREAMED_BINDING),
+                    };
+                    render(seq, depth + 2, use_, cx, out);
                 }
                 LFlworClause::Let {
                     var, name, expr, ..
                 } => {
                     line(depth + 1, &format!("let $#{var} (${name})"), out);
-                    render(expr, depth + 2, cx, out);
+                    render(expr, depth + 2, PathUse::Value, cx, out);
                 }
             }
         }
@@ -491,23 +538,34 @@ fn render(e: &LExpr, depth: usize, cx: &ExplainCx, out: &mut String) {
                 head.push_str(&format!("  [hash join not applied: {reason}]"));
             }
             line(depth + 1, &head, out);
-            render(w, depth + 2, cx, out);
+            if joined {
+                // The join evaluates both operands as keys, for their value.
+                render_with(w, depth + 2, PathUse::Exists, &[], cx, out);
+            } else {
+                render(w, depth + 2, PathUse::Exists, cx, out);
+            }
         }
         for spec in order_by {
             line(depth + 1, "order-by", out);
-            render(&spec.key, depth + 2, cx, out);
+            render(&spec.key, depth + 2, PathUse::Value, cx, out);
         }
         line(depth + 1, "return", out);
-        render(return_, depth + 2, cx, out);
+        render(return_, depth + 2, PathUse::Value, cx, out);
         return;
     }
-    lopt::for_each_child_ref(e, &mut |c| render(c, depth + 1, cx, out));
+    lopt::for_each_child_ref(e, &mut |c| {
+        let use_ = child_uses
+            .iter()
+            .find(|(child, _)| std::ptr::eq(*child, c))
+            .map_or(PathUse::Value, |&(_, u)| u);
+        render(c, depth + 1, use_, cx, out)
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineOptions};
+    use crate::engine::Engine;
 
     #[test]
     fn legacy_line_reconstruction() {
@@ -548,12 +606,7 @@ mod tests {
 
     #[test]
     fn explain_marks_the_hash_join_and_the_hoist() {
-        // Pin the option explicitly: this must hold even when the test run
-        // itself exports XQ_OPT=0.
-        let e = Engine::with_options(EngineOptions {
-            runtime_opt: true,
-            ..Default::default()
-        });
+        let e = Engine::new();
         let q = e
             .compile(
                 "let $d := <r><a id='1'/><a id='2'/></r> \
@@ -580,99 +633,82 @@ mod tests {
     }
 
     #[test]
-    fn explain_annotations_follow_each_knob() {
-        // Each annotation appears iff the knob the runner checks for that
-        // fast path is on: `runtime_opt` owns the hash join, the hoists and
-        // the lone-`//name` index answers; `stream` owns every cursor
-        // consumer, existence included.
-        const JOIN: &str = "let $d := <r><a id='1'/></r> \
-             return for $n in $d/a for $r in $d/a where $r/@id = $n/@id return $r";
-        const INDEX_CALLS: &str = "exists(//node) and count(//rel) > 0";
-        const CURSOR_CALLS: &str = "exists(/r/item) or count(/r/item) > 0";
-        type Row = (
-            bool,
-            bool,
-            &'static str,
-            &'static [&'static str],
-            &'static [&'static str],
-        );
-        let rows: &[Row] = &[
-            // (runtime_opt, stream, query, marks present, marks absent)
-            (true, true, JOIN, &["hash join: build side"], &[]),
+    fn explain_annotations_follow_each_consumer() {
+        // A path's annotation is decided by its consumer, and it must name
+        // the route the runner takes: each row is explained AND run, and the
+        // plan claims the name index iff the run counted an index hit, a
+        // stream iff it pulled items, and existence iff the first pull
+        // answered one.
+        const DOC: &str = "<r><a><b>1</b><b>2</b></a><a><b>3</b></a><c k='v'/></r>";
+        let rows: &[(&str, &[&str], &[&str])] = &[
+            // (query, marks present, marks absent)
+            ("exists(//a/b)", &["streamed existence"], &["`//` step"]),
+            ("count(//a/b)", &["streamed count"], &["`//` step"]),
             (
-                false,
-                true,
-                JOIN,
-                &["0 hash join(s)"],
-                &["hash join: build side", "cache-once"],
-            ),
-            (
-                true,
-                true,
-                INDEX_CALLS,
-                &["index existence", "index-range count"],
-                &["streamed existence", "streamed count"],
-            ),
-            (
-                false,
-                true,
-                INDEX_CALLS,
-                &["streamed existence", "streamed count"],
-                &["index existence", "index-range count"],
-            ),
-            (false, false, INDEX_CALLS, &[], &["existence", "count:"]),
-            (
-                true,
-                true,
-                CURSOR_CALLS,
-                &["streamed existence", "streamed count"],
-                &["index existence", "index-range count"],
-            ),
-            (true, false, CURSOR_CALLS, &[], &["existence", "count:"]),
-            (
-                true,
-                true,
-                "subsequence(/r/item, 1, 1)",
-                &["streamed subsequence"],
-                &[],
-            ),
-            (
-                true,
-                false,
-                "subsequence(/r/item, 1, 1)",
-                &[],
-                &["streamed"],
-            ),
-            (true, true, "//a/b[2]", &["streamed path"], &["`//` step"]),
-            (true, false, "//a/b[2]", &["`//` step"], &["streamed"]),
-            (
-                true,
-                true,
-                "for $i in /r/item return $i",
+                "for $i in //a/b return $i",
                 &["streamed binding"],
-                &[],
+                &["`//` step"],
             ),
             (
-                true,
-                false,
-                "for $i in /r/item return $i",
-                &[],
-                &["streamed"],
+                "if (//a/b) then 1 else 0",
+                &["streamed existence"],
+                &["`//` step"],
+            ),
+            (
+                "for $x in //a where $x/b return 1",
+                &["streamed binding", "streamed existence"],
+                &["name index"],
+            ),
+            (
+                "some $x in //a satisfies $x/b",
+                &["streamed binding", "streamed existence"],
+                &["name index"],
+            ),
+            (
+                "//a/b and //c",
+                &["streamed existence", "index existence"],
+                &["`//` step"],
+            ),
+            ("not(//c)", &["index existence"], &["streamed"]),
+            ("count(//b)", &["index-range count"], &["streamed"]),
+            ("//a/b", &["`//` step"], &["streamed"]),
+            ("//a/b[2]", &["streamed path"], &["`//` step"]),
+            ("(//a/b)[2]", &["streamed filter"], &["`//` step"]),
+            (
+                "subsequence(//a/b, 1, 1)",
+                &["streamed subsequence"],
+                &["`//` step"],
+            ),
+            ("//a/b = '2'", &["streamed comparison"], &["`//` step"]),
+            (
+                "for $n in /r/a for $m in /r/a where $m/b = $n/b return $m",
+                &["hash join: build side", "streamed binding"],
+                &["streamed comparison"],
             ),
         ];
-        for &(runtime_opt, stream, src, present, absent) in rows {
-            let e = Engine::with_options(EngineOptions {
-                runtime_opt,
-                stream,
-                ..Default::default()
-            });
-            let plan = e.explain(&e.compile(src).unwrap());
-            let knobs = format!("runtime_opt={runtime_opt} stream={stream} {src}");
+        for &(src, present, absent) in rows {
+            let mut e = Engine::new();
+            let doc = e.load_document(DOC).unwrap();
+            let q = e.compile(src).unwrap();
+            let plan = e.explain(&q);
             for mark in present {
-                assert!(plan.contains(mark), "{knobs}: missing {mark:?}\n{plan}");
+                assert!(plan.contains(mark), "{src}: missing {mark:?}\n{plan}");
             }
             for mark in absent {
-                assert!(!plan.contains(mark), "{knobs}: claims {mark:?}\n{plan}");
+                assert!(!plan.contains(mark), "{src}: claims {mark:?}\n{plan}");
+            }
+            e.evaluate(&q, Some(doc)).unwrap();
+            let stats = *e.last_stats();
+            for (claim, ran) in [
+                ("per-tree name index", stats.index_hits > 0),
+                ("streamed", stats.items_streamed > 0),
+                ("streamed existence", stats.streamed_existence > 0),
+            ] {
+                assert_eq!(
+                    plan.contains(claim),
+                    ran,
+                    "{src}: plan and run disagree on {claim:?}: {stats:?}\n{plan}"
+                );
             }
         }
     }

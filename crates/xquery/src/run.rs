@@ -187,35 +187,29 @@ pub fn run(
             // generic one: the left operand (or, for a streamed right side,
             // the whole left) is evaluated before the right, and cursor
             // pulls themselves are effect-free.
-            if env.options.stream {
-                if let LExpr::Path { start, steps } = &**l {
-                    if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
-                        let rv = run(r, env, frame, ctx)?;
-                        let b = stream_compare(stream, *op, &rv, false, env);
-                        return Ok(Atomic::Bool(b).into());
-                    }
-                } else if let LExpr::Path { start, steps } = &**r {
-                    // Classify structurally *before* evaluating the left
-                    // operand so the fallback path still runs l-then-r.
-                    if classify_steps(steps).is_some() {
-                        let lv = run(l, env, frame, ctx)?;
-                        let stream = open_path_stream(start, steps, env, frame, ctx)?
-                            .expect("classified above and streaming is on");
-                        let b = stream_compare(stream, *op, &lv, true, env);
-                        return Ok(Atomic::Bool(b).into());
-                    }
+            if let LExpr::Path { start, steps } = &**l {
+                if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
+                    let rv = run(r, env, frame, ctx)?;
+                    let b = stream_compare(stream, *op, &rv, false, env);
+                    return Ok(Atomic::Bool(b).into());
+                }
+            } else if let LExpr::Path { start, steps } = &**r {
+                // Classify structurally *before* evaluating the left
+                // operand so the fallback path still runs l-then-r.
+                if classify_steps(steps).is_some() {
+                    let lv = run(l, env, frame, ctx)?;
+                    let stream =
+                        open_path_stream(start, steps, env, frame, ctx)?.expect("classified above");
+                    let b = stream_compare(stream, *op, &lv, true, env);
+                    return Ok(Atomic::Bool(b).into());
                 }
             }
             let l = run(l, env, frame, ctx)?;
             let r = run(r, env, frame, ctx)?;
             // Both operands are fully evaluated before the comparison and
-            // the comparison itself never raises, so swapping in the hash
-            // join can only change how the same boolean is found.
-            let b = if env.options.runtime_opt {
-                general_compare_hashed(*op, &l, &r, env.store)
-            } else {
-                general_compare(*op, &l, &r, env.store)
-            };
+            // the comparison itself never raises, so the hash join can only
+            // change how the same boolean is found.
+            let b = general_compare_hashed(*op, &l, &r, env.store);
             Ok(Atomic::Bool(b).into())
         }
 
@@ -396,7 +390,7 @@ pub fn run(
             // expands every descendant-or-self context first (thousands of
             // nodes for a handful kept). Predicate-free paths keep the name
             // index fast paths of the step loop.
-            if env.options.stream && classify_steps(steps).is_some_and(|p| p.has_positional()) {
+            if classify_steps(steps).is_some_and(|p| p.has_positional()) {
                 if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
                     let out = match stream {
                         PathStream::Cursor(mut cur) => {
@@ -417,12 +411,10 @@ pub fn run(
             // `(PATH)[3]`-style filters select by *global* position, so the
             // cursor stops pulling the moment the window is closed — the
             // early-exit shape the paper's prefix queries want.
-            if env.options.stream {
-                if let (LExpr::Path { start, steps }, [p]) = (&**base, predicates.as_slice()) {
-                    if let Some((op, n)) = positional_predicate(p) {
-                        if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
-                            return Ok(stream_filter_positional(stream, op, n, env));
-                        }
+            if let (LExpr::Path { start, steps }, [p]) = (&**base, predicates.as_slice()) {
+                if let Some((op, n)) = positional_predicate(p) {
+                    if let Some(stream) = open_path_stream(start, steps, env, frame, ctx)? {
+                        return Ok(stream_filter_positional(stream, op, n, env));
                     }
                 }
             }
@@ -445,17 +437,15 @@ pub fn run(
                     if let Some(found) = path_nonempty(start, steps, env, frame, ctx)? {
                         return Ok(Atomic::Bool(found != invert).into());
                     }
-                } else if matches!(builtin, Builtin::Count) && env.options.runtime_opt {
+                } else if matches!(builtin, Builtin::Count) {
                     if let Some(fused) = lone_index_step(steps) {
                         let n = lone_index_count(start, fused, false, env, frame, ctx)?;
                         return Ok(Atomic::Int(n as i64).into());
                     }
                 }
             }
-            if env.options.stream {
-                if let Some(out) = stream_builtin(*builtin, args, env, frame, ctx)? {
-                    return Ok(out);
-                }
+            if let Some(out) = stream_builtin(*builtin, args, env, frame, ctx)? {
+                return Ok(out);
             }
             let mut values = Vec::with_capacity(args.len());
             for a in args {
@@ -918,14 +908,14 @@ fn flwor_tuples(
                 // see loop bindings, and mid-query construction only grows
                 // new trees, so the first build's sequence is reused
                 // outright: one build, every later tuple probes.
-                if env.options.runtime_opt && idx + 1 == clauses.len() && join.is_some() {
+                if idx + 1 == clauses.len() && join.is_some() {
                     if let Some(state) = jstate.as_ref() {
                         if join_build_invariant(seq) {
                             break 'materialized state.seq.clone();
                         }
                     }
                 }
-                if env.options.stream && join.is_none() {
+                if join.is_none() {
                     if let LExpr::Path { start, steps } = seq {
                         match open_path_stream(start, steps, env, frame, ctx)? {
                             Some(PathStream::Done(v)) => break 'materialized v,
@@ -966,7 +956,7 @@ fn flwor_tuples(
                 }
                 run(seq, env, frame, ctx)?
             };
-            if env.options.runtime_opt && idx + 1 == clauses.len() {
+            if idx + 1 == clauses.len() {
                 if let (Some(side), Some(LExpr::GeneralCmp(CmpOp::Eq, l, r))) = (join, where_) {
                     let (key_e, probe_e) = match side {
                         JoinSide::Left => (&**l, &**r),
@@ -1205,38 +1195,29 @@ fn quantified(
     // satisfying binding, `every` at the first failing one, and with a
     // streamed binding sequence the abandoned remainder was never built.
     let items = 'materialized: {
-        if env.options.stream {
-            if let LExpr::Path { start, steps } = seq_expr {
-                match open_path_stream(start, steps, env, frame, ctx)? {
-                    Some(PathStream::Done(v)) => break 'materialized v,
-                    Some(PathStream::Cursor(mut cur)) => {
-                        while let Some(item) = cur.next(env.store, env.stats) {
-                            frame.set(*slot, Arc::new(Sequence::singleton(item)));
-                            let hit = quantified(
-                                quantifier,
-                                bindings,
-                                satisfies,
-                                idx + 1,
-                                env,
-                                frame,
-                                ctx,
-                            )?;
-                            match quantifier {
-                                Quantifier::Some if hit => {
-                                    cur.finish_early(env.stats);
-                                    return Ok(true);
-                                }
-                                Quantifier::Every if !hit => {
-                                    cur.finish_early(env.stats);
-                                    return Ok(false);
-                                }
-                                _ => {}
+        if let LExpr::Path { start, steps } = seq_expr {
+            match open_path_stream(start, steps, env, frame, ctx)? {
+                Some(PathStream::Done(v)) => break 'materialized v,
+                Some(PathStream::Cursor(mut cur)) => {
+                    while let Some(item) = cur.next(env.store, env.stats) {
+                        frame.set(*slot, Arc::new(Sequence::singleton(item)));
+                        let hit =
+                            quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
+                        match quantifier {
+                            Quantifier::Some if hit => {
+                                cur.finish_early(env.stats);
+                                return Ok(true);
                             }
+                            Quantifier::Every if !hit => {
+                                cur.finish_early(env.stats);
+                                return Ok(false);
+                            }
+                            _ => {}
                         }
-                        return Ok(matches!(quantifier, Quantifier::Every));
                     }
-                    None => {}
+                    return Ok(matches!(quantifier, Quantifier::Every));
                 }
+                None => {}
             }
         }
         run(seq_expr, env, frame, ctx)?
@@ -1261,10 +1242,10 @@ fn quantified(
 /// the path takes neither route below (nothing has been evaluated then):
 ///
 /// * a lone `//name` or `//@name` step is answered from the name index,
-///   behind `runtime_opt` like the `count` branch;
-/// * any path the cursor admits is answered by its first pull, behind
-///   `stream` like every other cursor consumer. A start that is not one
-///   node finishes materialised from the already-evaluated start.
+///   like the `count` branch;
+/// * any path the cursor admits is answered by its first pull. A start
+///   that is not one node finishes materialised from the already-evaluated
+///   start.
 ///
 /// Both routes yield only nodes, so existence is also the path's EBV.
 fn path_nonempty(
@@ -1274,12 +1255,10 @@ fn path_nonempty(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<Option<bool>> {
-    if env.options.runtime_opt {
-        if let Some(fused) = lone_index_step(steps) {
-            return Ok(Some(
-                lone_index_count(start, fused, true, env, frame, ctx)? > 0,
-            ));
-        }
+    if let Some(fused) = lone_index_step(steps) {
+        return Ok(Some(
+            lone_index_count(start, fused, true, env, frame, ctx)? > 0,
+        ));
     }
     Ok(match open_path_stream(start, steps, env, frame, ctx)? {
         Some(PathStream::Cursor(mut cur)) => {
@@ -1343,7 +1322,7 @@ enum PathStream<'p> {
 }
 
 /// Opens a path for streaming. Classification is pure, so nothing is
-/// evaluated on the `None` (not streamable / streaming off) return and the
+/// evaluated on the `None` (not streamable) return and the
 /// caller proceeds exactly as before. Otherwise the start expression is
 /// evaluated exactly once — its errors and traces are the path's own and
 /// fire here, in source order — and a singleton node start yields a cursor.
@@ -1358,9 +1337,6 @@ fn open_path_stream<'p>(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<Option<PathStream<'p>>> {
-    if !env.options.stream {
-        return Ok(None);
-    }
     let Some(plan) = classify_steps(steps) else {
         return Ok(None);
     };
@@ -1402,8 +1378,8 @@ fn finish_path_from(
 /// Existential general comparison with one side streamed. Against an empty
 /// or singleton other side the cursor is pulled item by item and abandoned
 /// at the first hit; against a longer side the per-pull rescan would buy
-/// nothing, so the walk is drained and the generic (hashed under
-/// `runtime_opt`) comparison runs. `cursor_is_right` keeps the operand
+/// nothing, so the walk is drained and the hashed generic comparison runs.
+/// `cursor_is_right` keeps the operand
 /// order straight for the asymmetric operators (`<`, `>=`, …).
 fn stream_compare(
     stream: PathStream,
@@ -1443,11 +1419,7 @@ fn stream_compare(
     } else {
         (&seq, other)
     };
-    if env.options.runtime_opt {
-        general_compare_hashed(op, l, r, env.store)
-    } else {
-        general_compare(op, l, r, env.store)
-    }
+    general_compare_hashed(op, l, r, env.store)
 }
 
 /// Does global position `p` satisfy `position() OP n`? Exact integer
@@ -1546,6 +1518,17 @@ fn key_atoms(
     Ok(atomize(&v, env.store))
 }
 
+/// A literal position or length argument [`stream_builtin`] can window by
+/// (shared with [`crate::obs::explain`]). The bound is the cursor's
+/// positional one: the generic dispatch goes through `f64`, which is exact
+/// here.
+pub(crate) fn int_literal(e: &LExpr) -> Option<i64> {
+    match e {
+        LExpr::Literal(Atomic::Int(n)) if n.abs() <= (1 << 50) => Some(*n),
+        _ => None,
+    }
+}
+
 /// The sequence-consuming builtins the cursor runtime takes over when
 /// their argument is a streamable path (and, for the windowed ones, the
 /// bounds are integer literals — evaluated-argument order is unchanged
@@ -1565,14 +1548,6 @@ fn stream_builtin(
     frame: &mut Frame,
     ctx: &mut DynamicContext,
 ) -> Result<Option<Sequence>> {
-    fn int_literal(e: &LExpr) -> Option<i64> {
-        match e {
-            // The same bound as the cursor's positional predicates: the
-            // generic dispatch goes through `f64`, which is exact here.
-            LExpr::Literal(Atomic::Int(n)) if n.abs() <= (1 << 50) => Some(*n),
-            _ => None,
-        }
-    }
     match builtin {
         Builtin::Count if args.len() == 1 => {
             if let LExpr::Path { start, steps } = &args[0] {
@@ -1916,8 +1891,8 @@ pub(crate) fn fused_double_slash_step(expr: &LExpr) -> Option<FusedStep> {
 }
 
 /// A path whose only step is a `//name` or `//@name` step the name index
-/// answers: the shape whose `count` and existence skip the step entirely
-/// (behind `runtime_opt`). Shared with [`crate::obs::explain`] so the plan
+/// answers: the shape whose `count` and existence skip the step entirely.
+/// Shared with [`crate::obs::explain`] so the plan
 /// annotation matches this gate.
 pub(crate) fn lone_index_step(steps: &[LPathStep]) -> Option<FusedStep> {
     match steps {
@@ -2062,14 +2037,12 @@ fn apply_predicates_nodes(
         // (`predicate_outcome` keeps exactly the item whose position equals
         // the number; literals cannot raise or trace), so pick directly
         // instead of evaluating the predicate once per item.
-        if env.options.runtime_opt {
-            if let LExpr::Literal(Atomic::Int(n)) = pred {
-                current = match usize::try_from(*n) {
-                    Ok(n) if (1..=current.len()).contains(&n) => vec![current[n - 1]],
-                    _ => Vec::new(),
-                };
-                continue;
-            }
+        if let LExpr::Literal(Atomic::Int(n)) = pred {
+            current = match usize::try_from(*n) {
+                Ok(n) if (1..=current.len()).contains(&n) => vec![current[n - 1]],
+                _ => Vec::new(),
+            };
+            continue;
         }
         let size = current.len();
         let mut kept = Vec::with_capacity(current.len());
@@ -2092,14 +2065,12 @@ fn apply_predicates_items(
 ) -> Result<Sequence> {
     let mut current = seq.into_items();
     for pred in predicates {
-        if env.options.runtime_opt {
-            if let LExpr::Literal(Atomic::Int(n)) = pred {
-                current = match usize::try_from(*n) {
-                    Ok(n) if (1..=current.len()).contains(&n) => vec![current[n - 1].clone()],
-                    _ => Vec::new(),
-                };
-                continue;
-            }
+        if let LExpr::Literal(Atomic::Int(n)) = pred {
+            current = match usize::try_from(*n) {
+                Ok(n) if (1..=current.len()).contains(&n) => vec![current[n - 1].clone()],
+                _ => Vec::new(),
+            };
+            continue;
         }
         let size = current.len();
         let mut kept = Vec::with_capacity(current.len());
