@@ -23,9 +23,10 @@
 use crate::corpus::{deep_document, entity_document, wide_document, xmark_auction, XmarkScale};
 use crate::scenario::{self, OpClass, ScenarioConfig, ScenarioReport};
 use crate::{it_workload, Workload};
-use awb::workload::{it_architecture, it_metamodel, production_scale};
+use awb::workload::{it_architecture, it_metamodel, production_scale, ItScale};
 use awb::{xmlio, NodeRef, PropValue, Query};
 use docgen::batch::{generate_batch_with, BatchJob, CompiledPipeline, GeneratorKind};
+use docgen::xq::XqGenerator;
 use docgen::{native, EditFootprint, GenInputs, IncrementalDoc, Template};
 use qsvc::{Client, Service, ServiceConfig};
 use std::net::SocketAddr;
@@ -301,21 +302,8 @@ fn gate(rows: &[Row], baseline: &Snapshot, host_cpus: usize) -> Vec<String> {
             got = measure(row, &mut op, base.ops);
             tries += 1;
         }
-        let mut verdict = "ok";
-        if got.min_ms > limit {
-            verdict = "SLOWER";
-            failures.push(format!(
-                "{}: {:.4} ms > {GATE_FACTOR} x baseline {:.4} ms",
-                row.name, got.min_ms, base.min_ms
-            ));
-        }
-        if got.counters != base.counters {
-            verdict = "COUNTERS";
-            failures.push(format!(
-                "{}: counters {:?} differ from the baseline's {:?}",
-                row.name, got.counters, base.counters
-            ));
-        }
+        let (verdict, failed) = judge(base, &got);
+        failures.extend(failed);
         println!(
             "  {:<30} {:>10.4} ms  baseline {:>10.4}  x{:.2}  {verdict} ({tries} measurement(s))",
             row.name,
@@ -325,6 +313,28 @@ fn gate(rows: &[Row], baseline: &Snapshot, host_cpus: usize) -> Vec<String> {
         );
     }
     failures
+}
+
+/// The gate's verdict on one row measured against its baseline row: the
+/// label it prints and one line per failure.
+fn judge(base: &Measured, got: &Measured) -> (&'static str, Vec<String>) {
+    let mut verdict = "ok";
+    let mut failures = Vec::new();
+    if got.min_ms > GATE_FACTOR * base.min_ms {
+        verdict = "SLOWER";
+        failures.push(format!(
+            "{}: {:.4} ms > {GATE_FACTOR} x baseline {:.4} ms",
+            got.name, got.min_ms, base.min_ms
+        ));
+    }
+    if got.counters != base.counters {
+        verdict = "COUNTERS";
+        failures.push(format!(
+            "{}: counters {:?} differ from the baseline's {:?}",
+            got.name, got.counters, base.counters
+        ));
+    }
+    (verdict, failures)
 }
 
 // ----------------------------------------------------------------------
@@ -670,6 +680,7 @@ fn registry() -> Vec<Row> {
             move || bench.incremental()
         }),
         docgen_batch_row(),
+        docgen_xq_row(),
         index_repatch_row(),
         index_rebuild_row(),
         refreeze_row(),
@@ -1061,6 +1072,54 @@ fn docgen_batch_row() -> Row {
     })
 }
 
+/// The paper's workload where loop-invariant work shows: one
+/// `SYSTEM_CONTEXT` document through the five-phase XQuery pipeline (engine
+/// set-up included, as in perfbench `docgen_xq`) over a 124-node model.
+/// Carries the run's `items_allocated` and `nodes_copied` and the plan's
+/// `calls_hoisted` and `predicate_splits`.
+fn docgen_xq_row() -> Row {
+    Row::new("docgen_xq_n124", Layer::Docgen, || {
+        let scale = ItScale::about(125);
+        assert_eq!(scale.node_count(), 124);
+        let w = Workload {
+            meta: it_metamodel(),
+            model: it_architecture(scale, SEED),
+        };
+        let template =
+            Template::parse(lopsided::templates::SYSTEM_CONTEXT).expect("template parses");
+        let pipeline = CompiledPipeline::standard().expect("docgen pipeline compiles");
+        let (calls_hoisted, predicate_splits) = pipeline.queries().fold((0, 0), |(c, s), q| {
+            (
+                c + q.plan_stats.calls_hoisted as u64,
+                s + q.plan_stats.predicate_splits as u64,
+            )
+        });
+        move || {
+            let inputs = GenInputs {
+                model: &w.model,
+                meta: &w.meta,
+                template: &template,
+            };
+            let mut out = None;
+            let ms = time_ms(|| {
+                let mut generator =
+                    XqGenerator::with_compiled(&inputs, &pipeline).expect("generator prepares");
+                out = Some(generator.run().expect("document generates"));
+            });
+            let stats = out.expect("timed above").total_stats();
+            Sample {
+                ms,
+                counters: vec![
+                    ("items_allocated", stats.items_allocated),
+                    ("nodes_copied", stats.nodes_copied),
+                    ("calls_hoisted", calls_hoisted),
+                    ("predicate_splits", predicate_splits),
+                ],
+            }
+        }
+    })
+}
+
 // ----------------------------------------------------------------------
 // Store maintenance rows.
 // ----------------------------------------------------------------------
@@ -1362,10 +1421,33 @@ mod tests {
         );
     }
 
+    /// The doubled row and its baseline are sampled alternately, so load
+    /// from tests running alongside falls on both alike; each side keeps
+    /// its fastest sample, as the gate does.
     #[test]
     fn a_row_doing_its_work_twice_fails() {
-        let base = baseline();
-        let failures = gate(&[spin_row("spin", 2, 7)], &base, base.host_cpus);
+        let (single, doubled) = (spin_row("spin", 1, 7), spin_row("spin", 2, 7));
+        let (mut base_op, mut doubled_op) = ((single.setup)(), (doubled.setup)());
+        let ops = calibrate(&mut base_op);
+        doubled_op();
+        let mut fastest = [f64::INFINITY; 2];
+        for _ in 0..MAX_SAMPLES {
+            for (min, op) in fastest.iter_mut().zip([&mut base_op, &mut doubled_op]) {
+                *min = min.min((0..ops).map(|_| op().ms).sum());
+            }
+        }
+        let measured = |min_ms: f64| Measured {
+            name: "spin".to_string(),
+            layer: Layer::Run,
+            ops,
+            samples: MAX_SAMPLES,
+            min_ms,
+            median_ms: min_ms,
+            max_ms: min_ms,
+            counters: vec![("work".to_string(), 7)],
+        };
+        let (verdict, failures) = judge(&measured(fastest[0]), &measured(fastest[1]));
+        assert_eq!(verdict, "SLOWER", "{failures:?}");
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("x baseline"), "{failures:?}");
     }

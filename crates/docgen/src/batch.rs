@@ -77,6 +77,12 @@ impl CompiledPipeline {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CompiledPipeline { generator, phases })
     }
+
+    /// The compiled queries in run order: the phase-1 generator, then the
+    /// later phases.
+    pub fn queries(&self) -> impl Iterator<Item = &CompiledQuery> {
+        std::iter::once(&self.generator).chain(self.phases.iter().map(|(_, q)| q))
+    }
 }
 
 /// Runs one job to completion on the current thread.

@@ -206,6 +206,7 @@ struct StatCells {
     index_repatches: AtomicU64,
     index_full_rebuilds: AtomicU64,
     trees_refrozen_incremental: AtomicU64,
+    nodes_copied: AtomicU64,
 }
 
 /// A point-in-time copy of the store's flat-substrate counters.
@@ -235,6 +236,8 @@ pub struct StoreStats {
     /// remounting an untouched tree verbatim or splicing only the edited
     /// subtree's records into the shared prefix/suffix.
     pub trees_refrozen_incremental: u64,
+    /// Nodes (attributes included) allocated by [`Store::deep_copy`].
+    pub nodes_copied: u64,
 }
 
 /// One node's slot in the structural index. Valid only while the owning
@@ -443,6 +446,7 @@ impl Store {
                 .stats
                 .trees_refrozen_incremental
                 .load(AtomicOrdering::Relaxed),
+            nodes_copied: self.nodes_copied(),
         }
     }
 
@@ -1459,9 +1463,11 @@ impl Store {
     pub fn deep_copy(&mut self, id: NodeId) -> Result<NodeId, XmlError> {
         let kind = self.kind(id).clone();
         let copy = self.alloc(NodeData::new(kind))?;
+        let mut copied = 1;
         let mut stack: Vec<(NodeId, NodeId)> = vec![(id, copy)];
         while let Some((src, dst)) = stack.pop() {
             let attrs: Vec<NodeId> = self.attributes(src).to_vec();
+            copied += attrs.len() + self.children(src).len();
             for a in attrs {
                 let kind = self.kind(a).clone();
                 let ac = self.alloc(NodeData::new(kind))?;
@@ -1477,7 +1483,16 @@ impl Store {
                 stack.push((k, kc));
             }
         }
+        self.stats
+            .nodes_copied
+            .fetch_add(copied as u64, AtomicOrdering::Relaxed);
         Ok(copy)
+    }
+
+    /// Nodes [`Store::deep_copy`] has allocated so far: the cheap read of
+    /// the one counter callers charge per operation.
+    pub fn nodes_copied(&self) -> u64 {
+        self.stats.nodes_copied.load(AtomicOrdering::Relaxed)
     }
 
     // ------------------------------------------------------------------

@@ -1270,6 +1270,9 @@ fn corpus_cases() -> Vec<(Option<&'static str>, &'static str)> {
     for src in DEEP_CHAIN_CORPUS {
         cases.push((Some(deep_chain_doc()), *src));
     }
+    for src in HOIST_CORPUS {
+        cases.push((Some(DOC), *src));
+    }
     cases
 }
 
@@ -1851,6 +1854,103 @@ fn deep_chain_corpus_matches_reference_under_all_configs() {
             assert_equivalent(&mut e, src, Some(doc))
                 .unwrap_or_else(|d| panic!("{name}: {src}: {d}"));
         }
+    }
+}
+
+/// Pure calls and predicate prefixes the lopt pass hoists out of loops,
+/// over [`DOC`], next to the shapes it must leave alone: `fn:trace` in
+/// invariant positions (directly and through a user function), raising
+/// calls in loops that run zero times and once, splits whose prefix and
+/// residual both raise, positional residuals, and split starts of zero
+/// and two nodes, which must evaluate unsplit.
+const HOIST_CORPUS: &[&str] = &[
+    // A pure builtin and a pure user call, invariant in the loop.
+    "let $l := /lib return for $i in (1, 2, 3) return concat(string($l/book[1]/@year), '-', $i)",
+    "declare function local:n($l) { count($l/book) }; \
+     let $l := /lib return for $i in (1, 2) return local:n($l) + $i",
+    // A recursive pure user function in a predicate prefix.
+    "declare function local:old($y) { if ($y le 1980) then true() else if ($y gt 2000) then false() \
+     else local:old($y - 10) }; \
+     let $l := /lib return for $i in (1, 2) return $l/book[local:old(number(@year))][$i]/title",
+    // trace in invariant positions is never hoisted: one event per tuple.
+    "let $l := /lib return for $i in (1, 2) return (trace(string($l/@genre), 'g'), $i)",
+    "let $l := /lib return for $i in (1, 2) return $l/book[trace(@year, 'y') > 1980][$i]/title",
+    "declare function local:t($x) { trace($x, 't') }; \
+     let $l := /lib return for $i in (1, 2) return local:t(string($l/@genre))",
+    // A raising pure call in a loop that runs zero times, once, and under
+    // a per-iteration catch.
+    "declare function local:bad($l) { error(concat('bad ', string($l/@genre))) }; \
+     let $l := /lib return for $i in () return local:bad($l)",
+    "declare function local:bad($l) { error(concat('bad ', string($l/@genre))) }; \
+     let $l := /lib return for $i in (1) return local:bad($l)",
+    "declare function local:bad($l) { error(concat('bad ', string($l/@genre))) }; \
+     let $l := /lib return for $i in (1, 2) return try { local:bad($l) } catch ($e) { $i }",
+    "let $l := /lib return for $i in (1, 2) return string($l/@genre) cast as xs:integer",
+    // Splits whose prefix raises, whose residual raises, and whose prefix
+    // and residual both raise (the prefix's error wins, as unsplit).
+    "let $l := /lib return for $i in (1, 2) \
+     return $l/book[(string(@year) cast as xs:integer) idiv 0 = 1][$i]",
+    "let $l := /lib return for $i in (1, 2) \
+     return $l/book[string(@year) > '1980'][$i idiv 0 = 1]",
+    "let $l := /lib return for $i in (1, 2) \
+     return $l/book[(string(@year) cast as xs:integer) idiv 0 = 1][$i idiv 0 = 1]",
+    "let $l := /lib return for $i in (1, 2) \
+     return try { $l/book[(string(@year) cast as xs:integer) idiv 0 = 1][$i idiv 0 = 1] } \
+     catch ($e) { $i }",
+    // Positional residuals after a hoisted prefix, on forward and reverse
+    // axes and on a filter.
+    "let $l := /lib return for $i in (1, 2) \
+     return ($l/book[string(@year) > '1980'][last()]/title, \
+             $l/book[string(@year) > '1980'][2][$i = 1]/title)",
+    "let $l := /lib return for $i in (1, 2) \
+     return $l/book[string(@year) > '1980'][position() = last() - $i + 1]/title",
+    "let $t := (/lib/book/title)[2] return for $i in (1, 2, 3) \
+     return name($t/ancestor-or-self::*[name() != 'x'][$i])",
+    "let $s := (5, 3, 8, 1) return for $i in (1, 2) return $s[. > 2][$i][last()]",
+    // Split starts that yield 0 and 2 nodes take the unsplit step.
+    "let $l := /lib return for $i in (1, 2) return $l/nothing/book[string(@year) > '1980'][$i]",
+    "let $bs := /lib/book[position() <= 2] return for $i in (1, 2) \
+     return $bs/author[string(.) != ''][$i]",
+    // Nested loops holding two prefixes of one list (the gen-table shape).
+    "let $l := /lib return for $r in (1983, 2005) return for $a in ('X', 'Y', 'Z') \
+     return count($l/book[string(@year) != ''][number(@year) = $r][author = $a])",
+];
+
+#[test]
+fn hoist_corpus_matches_reference_under_all_configs() {
+    let mut splits = 0;
+    let mut calls = 0;
+    for (name, options) in engine_configs() {
+        let mut e = Engine::with_options(options);
+        let doc = e.load_document(DOC).unwrap();
+        for src in HOIST_CORPUS {
+            let q = e.compile(src).unwrap();
+            splits += q.plan_stats.predicate_splits;
+            calls += q.plan_stats.calls_hoisted;
+            assert_equivalent(&mut e, src, Some(doc))
+                .unwrap_or_else(|d| panic!("{name}: {src}: {d}"));
+        }
+    }
+    assert!(splits > 0 && calls > 0, "the corpus exercises the pass");
+}
+
+/// A split step's cells serve a single context node only: a start of two
+/// nodes evaluates the step unsplit (no cell is read), one node reads them.
+#[test]
+fn split_cells_serve_only_a_single_context_node() {
+    for (start, reads_cells) in [
+        ("(/lib/book)[2]", true),
+        ("/lib/book[position() <= 2]", false),
+    ] {
+        let src = format!(
+            "let $bs := {start} return for $i in (1, 2) return $bs/author[string(.) != ''][$i]"
+        );
+        let mut e = Engine::new();
+        let doc = e.load_document(DOC).unwrap();
+        let q = e.compile(&src).unwrap();
+        assert_eq!(q.plan_stats.predicate_splits, 1, "{src}");
+        e.evaluate(&q, Some(doc)).unwrap();
+        assert_eq!(e.last_stats().cache_hits > 0, reads_cells, "{src}");
     }
 }
 

@@ -85,6 +85,84 @@ pub enum Builtin {
 use Builtin as B;
 
 impl Builtin {
+    /// May a call be memoized: deterministic given its arguments (and, for
+    /// [`Builtin::reads_focus`] forms, the focus), no side effect, no fresh
+    /// node identity? Raising is allowed — a memo cell stores only values.
+    /// `fn:trace` is the one side effect, in every mode: the walker runs
+    /// whatever trace the AST optimizer kept, and so must the runner.
+    pub fn is_pure(self) -> bool {
+        match self {
+            B::Trace => false,
+            B::String
+            | B::Data
+            | B::Name
+            | B::LocalName
+            | B::NodeName
+            | B::Root
+            | B::Doc
+            | B::Count
+            | B::Empty
+            | B::Exists
+            | B::DistinctValues
+            | B::Reverse
+            | B::InsertBefore
+            | B::Remove
+            | B::Subsequence
+            | B::IndexOf
+            | B::Last
+            | B::Position
+            | B::ZeroOrOne
+            | B::OneOrMore
+            | B::ExactlyOne
+            | B::DeepEqual
+            | B::Not
+            | B::Boolean
+            | B::True
+            | B::False
+            | B::Number
+            | B::Abs
+            | B::Floor
+            | B::Ceiling
+            | B::Round
+            | B::Sum
+            | B::Avg
+            | B::Min
+            | B::Max
+            | B::Concat
+            | B::StringJoin
+            | B::Substring
+            | B::StringLength
+            | B::NormalizeSpace
+            | B::UpperCase
+            | B::LowerCase
+            | B::Contains
+            | B::StartsWith
+            | B::EndsWith
+            | B::SubstringBefore
+            | B::SubstringAfter
+            | B::Translate
+            | B::Tokenize
+            | B::Replace
+            | B::ErrorFn => true,
+        }
+    }
+
+    /// Does a call with `arity` arguments read the focus implicitly
+    /// (`position()`, `last()`, and the zero-argument accessor forms)?
+    pub fn reads_focus(self, arity: usize) -> bool {
+        match self {
+            B::Last | B::Position => true,
+            B::String
+            | B::Name
+            | B::LocalName
+            | B::Root
+            | B::Number
+            | B::StringLength
+            | B::NormalizeSpace => arity == 0,
+            _ => false,
+        }
+    }
+
     /// The `fn:` name, for diagnostics.
     pub fn name(self) -> &'static str {
         BUILTINS

@@ -189,6 +189,28 @@ pub enum LExpr {
         slot: u32,
         expr: Box<LExpr>,
     },
+    /// Predicate-prefix cells, introduced only by [`crate::lopt`]: `inner`
+    /// is an `AxisStep` (in a path-step position) or a `Filter` whose
+    /// leading predicates are pure and loop-invariant while the later ones
+    /// are not. Each cell memoizes, like a `CacheOnce` slot with the same
+    /// reset discipline, the items that survive the first `len`
+    /// predicates; a read resumes from the longest filled cell and applies
+    /// the remaining predicates as a residual filter. Predicates apply one
+    /// at a time over the whole candidate list, so this is exact — for a
+    /// step only while the step runs for a single context node, and a
+    /// step reached with any other context size evaluates unsplit.
+    PrefixCells {
+        cells: Vec<PrefixCell>,
+        inner: Box<LExpr>,
+    },
+}
+
+/// One cell of [`LExpr::PrefixCells`]: the synthetic slot holding the
+/// items that pass the first `len` predicates. Cells are ordered by `len`.
+#[derive(Debug, Clone, Copy)]
+pub struct PrefixCell {
+    pub len: usize,
+    pub slot: u32,
 }
 
 /// A lowered FLWOR clause: binding names become slots. `let` keeps its

@@ -15,7 +15,8 @@
 //! * [`TraceSink`] / [`TraceEvent`] — `fn:trace` becomes a routed side
 //!   effect instead of a bare string push. Events carry the query position
 //!   and the traced value, and survive every *runtime* pass by
-//!   construction: the lopt hoister never caches calls, the hash join
+//!   construction: the lopt hoister caches only pure calls (never
+//!   `fn:trace`, nor a user function that can reach it), the hash join
 //!   refuses operands containing calls, and the cursor admits no predicate
 //!   but a positional literal — so the only thing that can delete a trace
 //!   is the paper-faithful quirks-mode AST optimiser, which is itself under
@@ -23,7 +24,8 @@
 //! * [`explain`] — renders the lowered-and-optimised [`Program`] as an
 //!   annotated plan tree: which `for` clause got the hash-join mark (and
 //!   why a candidate `where` was refused), which subexpressions were
-//!   hoisted into `CacheOnce` cells, which calls stream or answer from the
+//!   hoisted into `CacheOnce` cells, which predicate prefixes were split
+//!   into cells of their own, which calls stream or answer from the
 //!   store's indexes.
 
 use crate::ast::Axis;
@@ -78,6 +80,10 @@ pub struct EvalStats {
     /// positional filter, or existential compare decided it needed no more
     /// items while the walk still had frames left.
     pub cursor_early_exits: u64,
+    /// Nodes deep-copied into constructed content (attributes included).
+    /// Each constructor copies its content, so nesting re-copies it once
+    /// per level: the cost no other counter shows.
+    pub nodes_copied: u64,
     /// Nanoseconds the evaluation job waited in the pool queue before a
     /// worker picked it up. Zero when run inline on a worker.
     pub queue_wait_ns: u64,
@@ -99,6 +105,7 @@ impl EvalStats {
         self.items_allocated += other.items_allocated;
         self.items_streamed += other.items_streamed;
         self.cursor_early_exits += other.cursor_early_exits;
+        self.nodes_copied += other.nodes_copied;
         self.queue_wait_ns += other.queue_wait_ns;
         self.on_worker_ns += other.on_worker_ns;
     }
@@ -189,12 +196,13 @@ enum ResetKind {
 ///
 /// Every lopt rewrite is visible: `for` clauses carry their hash-join mark
 /// (or the reason the mark was refused when the `where` looked like a
-/// candidate), and `CacheOnce` cells say whether they are loop-invariant
-/// hoists or per-tuple caches. Each `path` node says how the runner will
-/// evaluate it, and that depends on its consumer ([`PathUse`]): the same
-/// `//a/b` is pulled by a cursor under `exists`, `count`, a `for` binding
-/// or an `if` condition, and materialised by the step loop (its `//` step
-/// answered from the name index) anywhere else.
+/// candidate), `CacheOnce` cells say whether they are loop-invariant
+/// hoists or per-tuple caches, and each predicate-split cell says how many
+/// leading predicates it holds and how it resets. Each `path` node says
+/// how the runner will evaluate it, and that depends on its consumer
+/// ([`PathUse`]): the same `//a/b` is pulled by a cursor under `exists`,
+/// `count`, a `for` binding or an `if` condition, and materialised by the
+/// step loop (its `//` step answered from the name index) anywhere else.
 pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
     let mut resets = HashMap::new();
     collect_resets(&program.body, &mut resets);
@@ -205,11 +213,14 @@ pub fn explain(program: &Program, plan_stats: &PlanStats) -> String {
         collect_resets(&g.expr, &mut resets);
     }
     let mut out = format!(
-        "plan: {} hash join(s), {} invariant hoist(s), {} per-tuple cache(s), {} streamable binding(s)\n",
+        "plan: {} hash join(s), {} invariant hoist(s), {} per-tuple cache(s), {} streamable binding(s), \
+         {} call(s) hoisted, {} predicate split(s)\n",
         plan_stats.hash_joins,
         plan_stats.hoisted_invariant,
         plan_stats.cached_per_tuple,
-        plan_stats.streamable_bindings
+        plan_stats.streamable_bindings,
+        plan_stats.calls_hoisted,
+        plan_stats.predicate_splits
     );
     let cx = ExplainCx {
         program,
@@ -420,6 +431,7 @@ fn label(e: &LExpr, cx: &ExplainCx) -> String {
         LExpr::CastAs(..) => "cast".to_string(),
         LExpr::CastableAs(..) => "castable".to_string(),
         LExpr::CacheOnce { slot, .. } => format!("cache-once @{slot}"),
+        LExpr::PrefixCells { .. } => "predicate split".to_string(),
     }
 }
 
@@ -438,6 +450,19 @@ fn annotations(e: &LExpr, use_: PathUse, cx: &ExplainCx) -> Vec<String> {
             }
             None => out.push("cached once per evaluation".to_string()),
         },
+        LExpr::PrefixCells { cells, .. } => {
+            for c in cells {
+                let reset = match cx.resets.get(&c.slot) {
+                    Some(ResetKind::Entry) => "hoisted loop-invariant, refills once per loop entry",
+                    Some(ResetKind::Iter) => "one evaluation per tuple",
+                    None => "cached once per evaluation",
+                };
+                out.push(format!(
+                    "split cell @{} after {} predicate(s): {reset}",
+                    c.slot, c.len
+                ));
+            }
+        }
         LExpr::Path { steps, .. } => out.extend(path_annotation(steps, use_).map(String::from)),
         LExpr::AxisStep {
             axis,
@@ -602,6 +627,28 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.join_builds, 2);
         assert_eq!(a.queue_wait_ns, 1004);
+    }
+
+    #[test]
+    fn nodes_copied_charges_each_constructor_level() {
+        // Each level copies the subtree built below it: 0 + 1 + ... + 1999.
+        let mut e = Engine::new();
+        let nested = e
+            .compile(
+                "declare function local:nest($n) { \
+                 if ($n = 0) then () else <e>{local:nest($n - 1)}</e> }; \
+                 local:nest(2000)",
+            )
+            .unwrap();
+        e.evaluate(&nested, None).unwrap();
+        assert_eq!(e.last_stats().nodes_copied, 1999 * 2000 / 2);
+        assert_eq!(e.last_stats().items_allocated, 0);
+        // Flat children are copied once each into their parent.
+        let flat = e
+            .compile("<r>{for $i in 1 to 2000 return <e/>}</r>")
+            .unwrap();
+        e.evaluate(&flat, None).unwrap();
+        assert_eq!(e.last_stats().nodes_copied, 2000);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::eval::{
 use crate::functions::{dispatch_builtin, Builtin, CallCtx};
 use crate::lower::{
     CompiledFunction, JoinSide, LAttrPart, LConstructorName, LContentPart, LExpr, LFlworClause,
-    LNodeTest, LOrderSpec, LPathStep, Program,
+    LNodeTest, LOrderSpec, LPathStep, PrefixCell, Program,
 };
 use crate::obs::EvalStats;
 use crate::types::{cast_atomic, ItemType, SeqType};
@@ -346,41 +346,8 @@ pub fn run(
             predicates,
             position,
         } => {
-            let item = ctx
-                .context_item(env.options.galax_quirks, *position)?
-                .clone();
-            let node = match item {
-                Item::Node(n) => n,
-                Item::Atomic(_) => {
-                    return Err(Error::new(
-                        ErrorCode::XPTY0019,
-                        "axis step applied to an atomic value",
-                    )
-                    .at(position.0, position.1))
-                }
-            };
-            if let Some(step) = fused_attr_eq_step(*axis, test, predicates) {
-                // Same shape as the generic path: no candidates → empty,
-                // predicates (and their errors) never reached.
-                if !has_child_element_named(env.store, node, &step.fused.child) {
-                    return Ok(Sequence::empty());
-                }
-                let rhs = run(step.rhs, env, frame, ctx)?;
-                if let Some(matched) = fused_attr_eq_candidates(node, &step.fused, &rhs, env.store)
-                {
-                    env.stats.index_hits += 1;
-                    let filtered = apply_predicates_nodes(matched, step.rest, env, frame, ctx)?;
-                    return Ok(filtered.into_iter().map(Item::Node).collect());
-                }
-                env.stats.index_misses += 1;
-            }
-            let candidates = axis_candidates(*axis, node, env.store);
-            let tested: Vec<NodeId> = candidates
-                .into_iter()
-                .filter(|&n| node_test_matches(test, *axis, n, env.store))
-                .collect();
-            let filtered = apply_predicates_nodes(tested, predicates, env, frame, ctx)?;
-            Ok(filtered.into_iter().map(Item::Node).collect())
+            let nodes = axis_step_nodes(*axis, test, predicates, *position, env, frame, ctx)?;
+            Ok(nodes.into_iter().map(Item::Node).collect())
         }
 
         LExpr::Path { start, steps } => {
@@ -521,7 +488,7 @@ pub fn run(
                     LContentPart::Literal(t) => builder.push_text(t.clone(), env.store)?,
                     LContentPart::Enclosed(e) | LContentPart::Node(e) => {
                         let seq = run(e, env, frame, ctx)?;
-                        builder.push_sequence(seq, env.store)?;
+                        push_content(&mut builder, seq, env)?;
                     }
                 }
             }
@@ -539,7 +506,7 @@ pub fn run(
             let mut builder = ContentBuilder::new(el, *position, env.options.dup_attr_policy);
             if let Some(content) = content {
                 let seq = run(content, env, frame, ctx)?;
-                builder.push_sequence(seq, env.store)?;
+                push_content(&mut builder, seq, env)?;
             }
             builder.finish(env.store)?;
             Ok(Sequence::singleton(Item::Node(el)))
@@ -675,7 +642,70 @@ pub fn run(
             frame.set(*slot, Arc::new(v.clone()));
             Ok(v)
         }
+
+        LExpr::PrefixCells { cells, inner } => run_prefix_cells(cells, inner, env, frame, ctx),
     }
+}
+
+/// Runs an [`LExpr::PrefixCells`] node: resume from the longest filled
+/// cell, fill each later cell as its prefix completes, then apply the
+/// residual predicates. A cell fills only on success and in source position, so
+/// values, errors and traces are those of the unsplit predicate list.
+fn run_prefix_cells(
+    cells: &[PrefixCell],
+    inner: &LExpr,
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Sequence> {
+    let predicates = match inner {
+        // A step's cells hold the survivors for one context node. The
+        // walker filters per context node, so a step reached with any
+        // other context size runs unsplit.
+        LExpr::AxisStep { .. } if ctx.focus.as_ref().map(|f| f.size) != Some(1) => {
+            return run(inner, env, frame, ctx);
+        }
+        LExpr::AxisStep { predicates, .. } | LExpr::Filter(_, predicates) => predicates,
+        _ => return Err(Error::internal("prefix cells around a non-predicate node")),
+    };
+    let (mut items, mut done, pending) =
+        match cells.iter().rposition(|c| frame.get(c.slot).is_some()) {
+            Some(i) => {
+                env.stats.cache_hits += 1;
+                let hit = (**frame.get(cells[i].slot).expect("filled")).clone();
+                (hit, cells[i].len, &cells[i + 1..])
+            }
+            None => {
+                // The first cell fills like the unsplit node would start: the
+                // step's own evaluation (index probe included) or the filter's.
+                let first = cells[0];
+                let prefix = &predicates[..first.len];
+                let filled = match inner {
+                    LExpr::AxisStep {
+                        axis,
+                        test,
+                        position,
+                        ..
+                    } => axis_step_nodes(*axis, test, prefix, *position, env, frame, ctx)?
+                        .into_iter()
+                        .map(Item::Node)
+                        .collect(),
+                    LExpr::Filter(base, _) => {
+                        let seq = run(base, env, frame, ctx)?;
+                        apply_predicates_items(seq, prefix, env, frame, ctx)?
+                    }
+                    _ => unreachable!("matched above"),
+                };
+                frame.set(first.slot, Arc::new(filled.clone()));
+                (filled, first.len, &cells[1..])
+            }
+        };
+    for cell in pending {
+        items = apply_predicates_items(items, &predicates[done..cell.len], env, frame, ctx)?;
+        frame.set(cell.slot, Arc::new(items.clone()));
+        done = cell.len;
+    }
+    apply_predicates_items(items, &predicates[done..], env, frame, ctx)
 }
 
 /// Effective boolean value of an expression. A path that
@@ -1725,6 +1755,53 @@ fn stream_builtin(
     }
 }
 
+/// One axis step from the focus node: candidates in axis order, the node
+/// test, then the predicates one at a time (the fused `[@attr = v]` index
+/// probe answering the first when it can). The result stays in axis order;
+/// [`map_step`] restores document order.
+#[allow(clippy::too_many_arguments)]
+fn axis_step_nodes(
+    axis: Axis,
+    test: &LNodeTest,
+    predicates: &[LExpr],
+    position: (u32, u32),
+    env: &mut RunEnv,
+    frame: &mut Frame,
+    ctx: &mut DynamicContext,
+) -> Result<Vec<NodeId>> {
+    let item = ctx
+        .context_item(env.options.galax_quirks, position)?
+        .clone();
+    let node = match item {
+        Item::Node(n) => n,
+        Item::Atomic(_) => {
+            return Err(
+                Error::new(ErrorCode::XPTY0019, "axis step applied to an atomic value")
+                    .at(position.0, position.1),
+            )
+        }
+    };
+    if let Some(step) = fused_attr_eq_step(axis, test, predicates) {
+        // Same shape as the generic path: no candidates → empty,
+        // predicates (and their errors) never reached.
+        if !has_child_element_named(env.store, node, &step.fused.child) {
+            return Ok(Vec::new());
+        }
+        let rhs = run(step.rhs, env, frame, ctx)?;
+        if let Some(matched) = fused_attr_eq_candidates(node, &step.fused, &rhs, env.store) {
+            env.stats.index_hits += 1;
+            return apply_predicates_nodes(matched, step.rest, env, frame, ctx);
+        }
+        env.stats.index_misses += 1;
+    }
+    let candidates = axis_candidates(axis, node, env.store);
+    let tested: Vec<NodeId> = candidates
+        .into_iter()
+        .filter(|&n| node_test_matches(test, axis, n, env.store))
+        .collect();
+    apply_predicates_nodes(tested, predicates, env, frame, ctx)
+}
+
 fn map_step(
     current: &Sequence,
     step: &LExpr,
@@ -1913,8 +1990,8 @@ fn is_focus_free_simple(e: &LExpr) -> bool {
             && steps.iter().all(
                 |s| matches!(&s.expr, LExpr::AxisStep { predicates, .. } if predicates.is_empty()),
             ),
-        // The hoisting pass only wraps focus-free, call-free subtrees, so a
-        // cache cell is as focus-free as what it caches — without this arm
+        // The hoisting pass only wraps focus-free subtrees, so a cache
+        // cell is as focus-free as what it caches — without this arm
         // hoisting a fused-eq comparand would silently un-fuse the step.
         LExpr::CacheOnce { expr, .. } => is_focus_free_simple(expr),
         _ => false,
@@ -2155,6 +2232,15 @@ fn call_user(
 // ----------------------------------------------------------------------
 // Constructors
 // ----------------------------------------------------------------------
+
+/// Appends evaluated content to a constructor, charging the nodes it
+/// deep-copies to [`EvalStats::nodes_copied`].
+fn push_content(builder: &mut ContentBuilder, seq: Sequence, env: &mut RunEnv) -> Result<()> {
+    let before = env.store.nodes_copied();
+    let pushed = builder.push_sequence(seq, env.store);
+    env.stats.nodes_copied += env.store.nodes_copied() - before;
+    pushed
+}
 
 /// Resolves a (possibly computed) constructor name to a `QName`. Literal
 /// names were resolved at lowering time.
