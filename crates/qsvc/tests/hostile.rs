@@ -1,7 +1,8 @@
 //! Hostile-payload tests for the service edge: oversized documents against
 //! the doc-cache budget, too-deep and too-wide documents against the LOAD
-//! parse caps, and escape-heavy content through the serializer — every one
-//! must come back as a structured `ERR` frame on a connection that stays up.
+//! parse caps, escape-heavy content through the serializer, and a range
+//! query too large to allocate — every one must come back as a structured
+//! `ERR` frame on a connection that stays up.
 
 use qsvc::{Client, Service, ServiceConfig};
 
@@ -200,4 +201,29 @@ fn default_config_defers_to_parser_defaults() {
     }
     client.load("deep-ok", &xml).unwrap();
     assert_eq!(client.query("deep-ok", "string(/a/a/a)").unwrap(), "x");
+}
+
+/// `1 to 10^17` would need 2.4 EB, more than any address space, so the
+/// refusal does not depend on the host's overcommit policy. It comes back
+/// as a structured engine-limit `ERR` frame instead of aborting the process,
+/// and another tenant's next query still succeeds.
+#[test]
+fn oversized_range_is_refused_and_the_next_tenant_is_served() {
+    let service = Service::spawn(hostile_config()).unwrap();
+    let mut attacker = Client::connect(service.addr(), Some("attacker")).unwrap();
+    let mut victim = Client::connect(service.addr(), Some("victim")).unwrap();
+
+    let err = attacker
+        .query("-", "count(1 to 100000000000000000)")
+        .unwrap_err();
+    let err = err.service().expect("structured error, not a dead socket");
+    assert_eq!(err.code, "LOPS0000");
+    assert!(
+        err.message.contains("more than can be allocated"),
+        "the error must say why: {:?}",
+        err.message
+    );
+
+    assert_eq!(victim.query("-", "1+1").unwrap(), "2");
+    assert_eq!(attacker.query("-", "count(1 to 3)").unwrap(), "3");
 }

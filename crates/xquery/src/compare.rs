@@ -121,10 +121,13 @@ pub fn general_compare(op: CmpOp, left: &Sequence, right: &Sequence, store: &Sto
 
 /// The existential double loop over already-atomized operands.
 fn scan_atoms(op: CmpOp, ls: &[Atomic], rs: &[Atomic]) -> bool {
-    ls.iter().any(|a| {
-        rs.iter()
-            .any(|b| compare_atomics(a, b).is_some_and(|ord| ordering_satisfies(op, ord)))
-    })
+    ls.iter()
+        .any(|a| rs.iter().any(|b| pair_satisfies(op, a, b)))
+}
+
+/// One atomized pair under a general comparison: incomparable is false.
+fn pair_satisfies(op: CmpOp, a: &Atomic, b: &Atomic) -> bool {
+    compare_atomics(a, b).is_some_and(|ord| ordering_satisfies(op, ord))
 }
 
 /// Below this many candidate pairs the quadratic scan wins: hashing pays a
@@ -157,6 +160,11 @@ pub(crate) fn string_family(a: &Atomic) -> Option<&str> {
 /// return the same boolean, which the differential corpus and the proptest
 /// below enforce.
 pub fn general_compare_hashed(op: CmpOp, left: &Sequence, right: &Sequence, store: &Store) -> bool {
+    // One pair — the common `@type = $rel` shape: compare it directly
+    // instead of atomizing each side into a `Vec`.
+    if let (Some(l), Some(r)) = (left.as_singleton(), right.as_singleton()) {
+        return pair_satisfies(op, &atomize_item(l, store), &atomize_item(r, store));
+    }
     let ls = atomize(left, store);
     let rs = atomize(right, store);
     if matches!(op, CmpOp::Eq | CmpOp::Ne)

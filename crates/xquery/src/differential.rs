@@ -109,6 +109,12 @@ const CORPUS: &[&str] = &[
     "\"b\" gt \"a\"",
     "(1,2) eq 1",
     "2 to 5",
+    "5 to 2",
+    // A range too large to allocate is one engine-limit error on both
+    // paths (never an allocation abort), and try/catch does not swallow it.
+    "count(1 to 100000000000000000)",
+    "try { count(1 to 100000000000000000) } catch ($e) { $e }",
+    "-9223372036854775807 to 9223372036854775807",
     // Functions: builtin, user, unknown, recursion.
     "string-join((\"a\",\"b\"), \"-\")",
     "concat(\"a\", 1, true())",
@@ -161,6 +167,23 @@ fn corpus_matches_reference_standard() {
     let doc = e.load_document(DOC).unwrap();
     for src in CORPUS {
         assert_equivalent(&mut e, src, Some(doc)).unwrap();
+    }
+}
+
+/// `1 to 10^17` wants 2.4 EB, beyond any address space: both paths refuse
+/// it with the same engine-limit error instead of aborting the process.
+#[test]
+fn oversized_range_is_one_structured_error_on_both_paths() {
+    let mut e = Engine::new();
+    let q = e.compile("count(1 to 100000000000000000)").unwrap();
+    let expected = "range 1 to 100000000000000000 holds 100000000000000000 items, \
+                    more than can be allocated";
+    for err in [
+        e.evaluate(&q, None).unwrap_err(),
+        e.evaluate_reference(&q, None).unwrap_err(),
+    ] {
+        assert_eq!(err.code, crate::error::ErrorCode::Internal);
+        assert_eq!(err.message, expected);
     }
 }
 

@@ -9,7 +9,7 @@ use crate::lower::{lower_module, Program};
 use crate::obs::{EvalStats, PoolTiming, TraceEvent, TraceSink};
 use crate::optimizer::{optimize_module, OptimizerOptions, OptimizerStats};
 use crate::parser::parse_module;
-use crate::run::{run, Frame, RunEnv};
+use crate::run::{run, Frame, FramePool, RunEnv};
 use crate::value::{Item, Sequence};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex};
@@ -769,6 +769,7 @@ impl Engine {
                     trace: &mut sink,
                     stats: &mut *stats,
                     depth: 0,
+                    frame_pool: FramePool::default(),
                 };
                 let mut frame = Frame::new(decl.frame);
                 run(&decl.expr, &mut env, &mut frame, &mut ctx)?
@@ -777,7 +778,7 @@ impl Engine {
                 ty.check(
                     &value,
                     &self.store,
-                    &format!("declare variable ${}", decl.name),
+                    format_args!("declare variable ${}", decl.name),
                 )?;
             }
             globals.insert(decl.name, Arc::new(value));
@@ -792,6 +793,7 @@ impl Engine {
             trace: &mut sink,
             stats,
             depth: 0,
+            frame_pool: FramePool::default(),
         };
         let mut frame = Frame::new(program.body_frame);
         run(&program.body, &mut env, &mut frame, &mut ctx)
@@ -840,7 +842,7 @@ impl Engine {
                 ty.check(
                     &value,
                     &self.store,
-                    &format!("declare variable ${}", decl.name),
+                    format_args!("declare variable ${}", decl.name),
                 )?;
             }
             globals.insert(decl.name.clone(), Arc::new(value));

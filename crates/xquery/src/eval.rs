@@ -110,7 +110,7 @@ pub fn eval(expr: &Expr, env: &mut EvalEnv, ctx: &mut DynamicContext) -> Result<
             ) else {
                 return Ok(Sequence::empty());
             };
-            Ok((lo..=hi).map(Item::integer).collect())
+            range_sequence(lo, hi)
         }
 
         Expr::Arith(op, l, r) => {
@@ -619,7 +619,7 @@ fn flwor_tuples(
         FlworClause::Let { var, ty, expr } => {
             let value = eval(expr, env, ctx)?;
             if let Some(ty) = ty {
-                ty.check(&value, env.store, &format!("let ${var}"))?;
+                ty.check(&value, env.store, format_args!("let ${var}"))?;
             }
             let mark = ctx.vars.mark();
             ctx.vars.bind(var.clone(), value);
@@ -935,6 +935,25 @@ pub(crate) fn singleton_number(seq: &Sequence, store: &Store) -> Result<Option<N
     }
 }
 
+/// `lo to hi`, materialised. The items are reserved up front and fallibly:
+/// a range too large to allocate (`1 to 100000000000000000` wants exabytes)
+/// is one structured engine-limit error rather than an allocation failure,
+/// which would abort the whole process.
+pub(crate) fn range_sequence(lo: i64, hi: i64) -> Result<Sequence> {
+    if lo > hi {
+        return Ok(Sequence::empty());
+    }
+    let len = hi as i128 - lo as i128 + 1;
+    let mut items = Vec::new();
+    if usize::try_from(len).map_or(true, |n| items.try_reserve_exact(n).is_err()) {
+        return Err(Error::internal(format!(
+            "range {lo} to {hi} holds {len} items, more than can be allocated"
+        )));
+    }
+    items.extend((lo..=hi).map(Item::integer));
+    Ok(Sequence::from_items(items))
+}
+
 pub(crate) fn singleton_integer(seq: &Sequence, store: &Store) -> Result<Option<i64>> {
     match singleton_number(seq, store)? {
         None => Ok(None),
@@ -1047,7 +1066,7 @@ fn call_user(
             ty.check(
                 arg,
                 env.store,
-                &format!("argument ${} of {}", param.name, decl.name),
+                format_args!("argument ${} of {}", param.name, decl.name),
             )?;
         }
     }
@@ -1063,7 +1082,7 @@ fn call_user(
     env.depth -= 1;
     let value = result?;
     if let Some(ty) = &decl.return_type {
-        ty.check(&value, env.store, &format!("result of {}", decl.name))?;
+        ty.check(&value, env.store, format_args!("result of {}", decl.name))?;
     }
     Ok(value)
 }

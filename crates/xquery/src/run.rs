@@ -38,8 +38,8 @@ use crate::engine::EngineOptions;
 use crate::error::{Error, ErrorCode, Result};
 use crate::eval::{
     arith, axis_candidates, compare_order_keys, dedup_sorted, expand_descendant_or_self, internal,
-    join_atomized, predicate_outcome, singleton_integer, singleton_number, ContentBuilder,
-    NumOperand,
+    join_atomized, predicate_outcome, range_sequence, singleton_integer, singleton_number,
+    ContentBuilder, NumOperand,
 };
 use crate::functions::{dispatch_builtin, Builtin, CallCtx};
 use crate::lower::{
@@ -71,13 +71,23 @@ pub struct RunEnv<'a> {
     pub stats: &'a mut EvalStats,
     /// Current user-function recursion depth.
     pub depth: usize,
+    /// Slot vectors of returned user-function frames, reused by the next
+    /// call so a call allocates no frame once the pool is warm.
+    pub frame_pool: FramePool,
 }
+
+/// Spare frame slot vectors, one evaluation's worth (see
+/// [`RunEnv::frame_pool`]). Each is empty; it grows back to a callee's
+/// frame size on reuse.
+#[derive(Default)]
+pub struct FramePool(Vec<Vec<Option<Sequence>>>);
 
 /// A flat frame of variable slots. Slot indices were resolved at lowering
 /// time; scopes never pop at runtime because a slot is only ever read by
-/// references its binder dominates.
+/// references its binder dominates. A slot holds its sequence directly, so
+/// binding a one-item sequence (every `for` tuple) allocates nothing.
 pub struct Frame {
-    slots: Vec<Option<Arc<Sequence>>>,
+    slots: Vec<Option<Sequence>>,
 }
 
 impl Frame {
@@ -87,11 +97,24 @@ impl Frame {
         }
     }
 
-    fn set(&mut self, slot: u32, value: Arc<Sequence>) {
+    /// A frame of `size` unbound slots on a vector from `pool`.
+    fn from_pool(pool: &mut FramePool, size: usize) -> Frame {
+        let mut slots = pool.0.pop().unwrap_or_default();
+        slots.resize(size, None);
+        Frame { slots }
+    }
+
+    /// Drops the bindings and hands the slot vector back to `pool`.
+    fn release(mut self, pool: &mut FramePool) {
+        self.slots.clear();
+        pool.0.push(self.slots);
+    }
+
+    fn set(&mut self, slot: u32, value: Sequence) {
         self.slots[slot as usize] = Some(value);
     }
 
-    fn get(&self, slot: u32) -> Option<&Arc<Sequence>> {
+    fn get(&self, slot: u32) -> Option<&Sequence> {
         self.slots[slot as usize].as_ref()
     }
 
@@ -112,7 +135,7 @@ pub fn run(
         LExpr::Literal(a) => Ok(Sequence::singleton(Item::Atomic(a.clone()))),
 
         LExpr::LocalRef(slot) => match frame.get(*slot) {
-            Some(v) => Ok((**v).clone()),
+            Some(v) => Ok(v.clone()),
             // Unreachable for a correct lowering: every LocalRef is
             // dominated by its binder.
             None => Err(Error::internal(format!("unbound frame slot {slot}"))),
@@ -160,7 +183,7 @@ pub fn run(
             ) else {
                 return Ok(Sequence::empty());
             };
-            Ok((lo..=hi).map(Item::integer).collect())
+            range_sequence(lo, hi)
         }
 
         LExpr::Arith(op, l, r) => {
@@ -345,10 +368,7 @@ pub fn run(
             test,
             predicates,
             position,
-        } => {
-            let nodes = axis_step_nodes(*axis, test, predicates, *position, env, frame, ctx)?;
-            Ok(nodes.into_iter().map(Item::Node).collect())
-        }
+        } => axis_step_nodes(*axis, test, predicates, *position, env, frame, ctx),
 
         LExpr::Path { start, steps } => {
             // A bare path must materialise its whole result anyway, so the
@@ -432,12 +452,17 @@ pub fn run(
             args,
             position,
         } => {
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(run(a, env, frame, ctx)?);
-            }
+            // Arguments bind straight into the callee's frame, whose slot
+            // vector comes from the evaluation's pool and returns to it.
             let func = &env.program.functions[*index as usize];
-            call_user(func, values, *position, env)
+            let mut inner = Frame::from_pool(&mut env.frame_pool, func.frame);
+            let bound = args.iter().enumerate().try_for_each(|(i, a)| {
+                inner.set(i as u32, run(a, env, frame, ctx)?);
+                Ok(())
+            });
+            let result = bound.and_then(|()| call_user(func, &mut inner, *position, env));
+            inner.release(&mut env.frame_pool);
+            result
         }
 
         LExpr::CallUnknown {
@@ -555,10 +580,7 @@ pub fn run(
             Err(e) if e.code == ErrorCode::Internal => Err(e),
             Err(e) => {
                 if let Some(slot) = var {
-                    frame.set(
-                        *slot,
-                        Arc::new(Sequence::singleton(Item::string(e.message.clone()))),
-                    );
+                    frame.set(*slot, Sequence::singleton(Item::string(e.message.clone())));
                 }
                 run(catch, env, frame, ctx)
             }
@@ -574,13 +596,13 @@ pub fn run(
             for case in cases {
                 if case.ty.matches(&value, env.store) {
                     if let Some(slot) = &case.var {
-                        frame.set(*slot, Arc::new(value.clone()));
+                        frame.set(*slot, value.clone());
                     }
                     return run(&case.body, env, frame, ctx);
                 }
             }
             if let Some(slot) = default_var {
-                frame.set(*slot, Arc::new(value));
+                frame.set(*slot, value);
             }
             run(default, env, frame, ctx)
         }
@@ -633,13 +655,13 @@ pub fn run(
         LExpr::CacheOnce { slot, expr } => {
             if let Some(v) = frame.get(*slot) {
                 env.stats.cache_hits += 1;
-                return Ok((**v).clone());
+                return Ok(v.clone());
             }
             // First read in this cache window: evaluate in place (errors
             // and traces fire exactly where the unhoisted program fired
             // them) and memoize only on success.
             let v = run(expr, env, frame, ctx)?;
-            frame.set(*slot, Arc::new(v.clone()));
+            frame.set(*slot, v.clone());
             Ok(v)
         }
 
@@ -672,7 +694,7 @@ fn run_prefix_cells(
         match cells.iter().rposition(|c| frame.get(c.slot).is_some()) {
             Some(i) => {
                 env.stats.cache_hits += 1;
-                let hit = (**frame.get(cells[i].slot).expect("filled")).clone();
+                let hit = frame.get(cells[i].slot).expect("filled").clone();
                 (hit, cells[i].len, &cells[i + 1..])
             }
             None => {
@@ -686,23 +708,20 @@ fn run_prefix_cells(
                         test,
                         position,
                         ..
-                    } => axis_step_nodes(*axis, test, prefix, *position, env, frame, ctx)?
-                        .into_iter()
-                        .map(Item::Node)
-                        .collect(),
+                    } => axis_step_nodes(*axis, test, prefix, *position, env, frame, ctx)?,
                     LExpr::Filter(base, _) => {
                         let seq = run(base, env, frame, ctx)?;
                         apply_predicates_items(seq, prefix, env, frame, ctx)?
                     }
                     _ => unreachable!("matched above"),
                 };
-                frame.set(first.slot, Arc::new(filled.clone()));
+                frame.set(first.slot, filled.clone());
                 (filled, first.len, &cells[1..])
             }
         };
     for cell in pending {
         items = apply_predicates_items(items, &predicates[done..cell.len], env, frame, ctx)?;
-        frame.set(cell.slot, Arc::new(items.clone()));
+        frame.set(cell.slot, items.clone());
         done = cell.len;
     }
     apply_predicates_items(items, &predicates[done..], env, frame, ctx)
@@ -956,11 +975,11 @@ fn flwor_tuples(
                                     for slot in reset_iter {
                                         frame.clear(*slot);
                                     }
-                                    frame.set(*var, Arc::new(Sequence::singleton(item)));
+                                    frame.set(*var, Sequence::singleton(item));
                                     if let Some(at_slot) = at {
                                         frame.set(
                                             *at_slot,
-                                            Arc::new(Sequence::singleton(Item::integer(i + 1))),
+                                            Sequence::singleton(Item::integer(i + 1)),
                                         );
                                     }
                                     flwor_tuples(
@@ -998,17 +1017,14 @@ fn flwor_tuples(
                     );
                 }
             }
-            for (i, item) in items.into_items().into_iter().enumerate() {
+            for (i, item) in items.into_iter().enumerate() {
                 env.stats.cache_resets += reset_iter.len() as u64;
                 for slot in reset_iter {
                     frame.clear(*slot);
                 }
-                frame.set(*var, Arc::new(Sequence::singleton(item)));
+                frame.set(*var, Sequence::singleton(item));
                 if let Some(at_slot) = at {
-                    frame.set(
-                        *at_slot,
-                        Arc::new(Sequence::singleton(Item::integer(i as i64 + 1))),
-                    );
+                    frame.set(*at_slot, Sequence::singleton(Item::integer(i as i64 + 1)));
                 }
                 flwor_tuples(
                     clauses,
@@ -1034,9 +1050,9 @@ fn flwor_tuples(
         } => {
             let value = run(expr, env, frame, ctx)?;
             if let Some(ty) = ty {
-                ty.check(&value, env.store, &format!("let ${name}"))?;
+                ty.check(&value, env.store, format_args!("let ${name}"))?;
             }
-            frame.set(*var, Arc::new(value));
+            frame.set(*var, value);
             flwor_tuples(
                 clauses,
                 idx + 1,
@@ -1095,7 +1111,7 @@ fn join_for(
         for slot in reset_iter {
             frame.clear(*slot);
         }
-        frame.set(var, Arc::new(Sequence::singleton(item.clone())));
+        frame.set(var, Sequence::singleton(item.clone()));
     };
     let rebuild = !matches!(jstate, Some(s) if s.seq.same_alloc(&items));
     let mut first_key_atoms = None;
@@ -1230,7 +1246,7 @@ fn quantified(
                 Some(PathStream::Done(v)) => break 'materialized v,
                 Some(PathStream::Cursor(mut cur)) => {
                     while let Some(item) = cur.next(env.store, env.stats) {
-                        frame.set(*slot, Arc::new(Sequence::singleton(item)));
+                        frame.set(*slot, Sequence::singleton(item));
                         let hit =
                             quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
                         match quantifier {
@@ -1252,8 +1268,8 @@ fn quantified(
         }
         run(seq_expr, env, frame, ctx)?
     };
-    for item in items.into_items() {
-        frame.set(*slot, Arc::new(Sequence::singleton(item)));
+    for item in items {
+        frame.set(*slot, Sequence::singleton(item));
         let hit = quantified(quantifier, bindings, satisfies, idx + 1, env, frame, ctx)?;
         match quantifier {
             Quantifier::Some if hit => return Ok(true),
@@ -1768,7 +1784,7 @@ fn axis_step_nodes(
     env: &mut RunEnv,
     frame: &mut Frame,
     ctx: &mut DynamicContext,
-) -> Result<Vec<NodeId>> {
+) -> Result<Sequence> {
     let item = ctx
         .context_item(env.options.galax_quirks, position)?
         .clone();
@@ -1785,21 +1801,38 @@ fn axis_step_nodes(
         // Same shape as the generic path: no candidates → empty,
         // predicates (and their errors) never reached.
         if !has_child_element_named(env.store, node, &step.fused.child) {
-            return Ok(Vec::new());
+            return Ok(Sequence::empty());
         }
         let rhs = run(step.rhs, env, frame, ctx)?;
         if let Some(matched) = fused_attr_eq_candidates(node, &step.fused, &rhs, env.store) {
             env.stats.index_hits += 1;
-            return apply_predicates_nodes(matched, step.rest, env, frame, ctx);
+            let kept = apply_predicates_nodes(matched, step.rest, env, frame, ctx)?;
+            return Ok(kept.into_iter().map(Item::Node).collect());
         }
         env.stats.index_misses += 1;
     }
-    let candidates = axis_candidates(axis, node, env.store);
-    let tested: Vec<NodeId> = candidates
-        .into_iter()
-        .filter(|&n| node_test_matches(test, axis, n, env.store))
-        .collect();
-    apply_predicates_nodes(tested, predicates, env, frame, ctx)
+    // Child and attribute candidates are the store's own slices, filtered
+    // in the one pass that builds the result.
+    let store = &*env.store;
+    let owned;
+    let candidates: &[NodeId] = match axis {
+        Axis::Child => store.children(node),
+        Axis::Attribute => store.attributes(node),
+        _ => {
+            owned = axis_candidates(axis, node, store);
+            &owned
+        }
+    };
+    let tested = candidates
+        .iter()
+        .copied()
+        .filter(|&n| node_test_matches(test, axis, n, store));
+    if predicates.is_empty() {
+        return Ok(tested.map(Item::Node).collect());
+    }
+    let tested: Vec<NodeId> = tested.collect();
+    let kept = apply_predicates_nodes(tested, predicates, env, frame, ctx)?;
+    Ok(kept.into_iter().map(Item::Node).collect())
 }
 
 fn map_step(
@@ -2187,9 +2220,11 @@ fn predicate_holds(
 // Function calls
 // ----------------------------------------------------------------------
 
+/// Runs a user function on `inner`, the callee frame its arguments are
+/// already bound in (slots `0..arity`).
 fn call_user(
     func: &CompiledFunction,
-    args: Vec<Sequence>,
+    inner: &mut Frame,
     position: (u32, u32),
     env: &mut RunEnv,
 ) -> Result<Sequence> {
@@ -2203,28 +2238,24 @@ fn call_user(
         )
         .at(position.0, position.1));
     }
-    for (param, arg) in func.params.iter().zip(args.iter()) {
-        if let Some(ty) = &param.ty {
+    for (i, param) in func.params.iter().enumerate() {
+        if let (Some(ty), Some(arg)) = (&param.ty, inner.get(i as u32)) {
             ty.check(
                 arg,
                 env.store,
-                &format!("argument ${} of {}", param.name, func.name),
+                format_args!("argument ${} of {}", param.name, func.name),
             )?;
         }
     }
     // Closure-free frames: the function body sees exactly its parameters
     // (slots 0..arity) plus the globals, never the caller's slots or focus.
-    let mut inner = Frame::new(func.frame);
-    for (i, arg) in args.into_iter().enumerate() {
-        inner.set(i as u32, Arc::new(arg));
-    }
     let mut inner_ctx = DynamicContext::new();
     env.depth += 1;
-    let result = run(&func.body, env, &mut inner, &mut inner_ctx);
+    let result = run(&func.body, env, inner, &mut inner_ctx);
     env.depth -= 1;
     let value = result?;
     if let Some(ty) = &func.return_type {
-        ty.check(&value, env.store, &format!("result of {}", func.name))?;
+        ty.check(&value, env.store, format_args!("result of {}", func.name))?;
     }
     Ok(value)
 }

@@ -193,8 +193,10 @@ impl SeqType {
     }
 
     /// Checks `seq` against this type, producing the engine's standard
-    /// `XPTY0004` diagnostic on mismatch.
-    pub fn check(&self, seq: &Sequence, store: &Store, what: &str) -> Result<()> {
+    /// `XPTY0004` diagnostic on mismatch. `what` names the checked value in
+    /// that message and is only formatted when the check fails, so callers
+    /// pass `format_args!` rather than an eagerly built `String`.
+    pub fn check(&self, seq: &Sequence, store: &Store, what: impl fmt::Display) -> Result<()> {
         if self.matches(seq, store) {
             Ok(())
         } else {
