@@ -1125,16 +1125,19 @@ fn docgen_xq_row() -> Row {
 // ----------------------------------------------------------------------
 
 /// The axis document in a store whose tree is thawed and whose live index
-/// is built, plus the root and the `item` name the edit touches.
+/// is built, plus the root and the `item` name the edit touches. These
+/// rows measure the thawed substrate's index, so the parsed (frozen) tree
+/// is thawed explicitly: edits of frozen trees stay frozen.
 fn warm_index_store() -> (Store, NodeId, NodeId, Sym) {
     let mut s = Store::new();
     let doc = s
         .parse_str(&axis_bench_doc(), &ParseOptions::data_oriented())
         .expect("axis doc parses");
+    s.thaw(doc);
     let root = s.child_elements(doc)[0];
     let item = QName::from("item").local_sym();
-    // The first edit thaws the tree and the first query builds the live
-    // index lazily; neither counts as a patch nor as a rebuild.
+    // The first query builds the live index lazily; that counts neither as
+    // a patch nor as a rebuild.
     edit_and_query(&mut s, doc, root, item);
     (s, doc, root, item)
 }
@@ -1191,7 +1194,7 @@ fn index_rebuild_row() -> Row {
 }
 
 /// A wide flat document of ~60k records, frozen: at ~4k nodes the fixed
-/// per-freeze cost would dominate both freeze paths.
+/// per-call cost would dominate both the in-place edit and the full freeze.
 fn refreeze_store() -> (Store, NodeId, Vec<NodeId>) {
     let mut xml = String::from("<root>");
     for i in 0..20_000 {
@@ -1206,53 +1209,60 @@ fn refreeze_store() -> (Store, NodeId, Vec<NodeId>) {
     (s, doc, items)
 }
 
-/// A one-attribute edit (thawing the tree, untimed), then `freeze`: the
-/// store that watched the edit splices the untouched records back in.
+/// A one-attribute edit of the frozen table plus the commit: the attribute
+/// is new, so the edit splices one record into the table in place, and
+/// `freeze` on the still-frozen tree has nothing to do. Removing the
+/// attribute again afterwards is untimed.
 fn refreeze_row() -> Row {
     Row::new("refreeze_incremental", Layer::Refreeze, || {
         let (mut s, doc, items) = refreeze_store();
+        let item = items[items.len() / 2];
         let mut i = 0;
         move || {
             i += 1;
-            s.set_attribute(items[(i * 37) % items.len()], "touched", format!("{i}"))
-                .expect("edit");
-            let before = s.stats().trees_refrozen_incremental;
+            let before = s.stats();
             let ms = time_ms(|| {
-                s.freeze(doc).expect("incremental freeze");
+                s.set_attribute(item, "touched", format!("{i}"))
+                    .expect("edit");
+                s.freeze(doc).expect("commit");
             });
+            let after = s.stats();
+            s.remove_attribute(item, "touched");
             Sample {
                 ms,
-                counters: vec![(
-                    "trees_refrozen_incremental",
-                    s.stats().trees_refrozen_incremental - before,
-                )],
+                counters: vec![
+                    (
+                        "records_shifted",
+                        after.records_shifted - before.records_shifted,
+                    ),
+                    ("trees_thawed", after.trees_thawed - before.trees_thawed),
+                ],
             }
         }
     })
 }
 
-/// The same edit, frozen through a clone of the edited store: re-freeze
-/// provenance is not cloned, so the clone pays the full rebuild.
+/// The full freeze: the same document thawed explicitly (untimed), then
+/// frozen again, which always rebuilds the whole table.
 fn freeze_full_row() -> Row {
     Row::new("freeze_full", Layer::Freeze, || {
-        let (mut s, doc, items) = refreeze_store();
-        let mut i = 0;
+        let (mut s, doc, _) = refreeze_store();
         move || {
-            i += 1;
-            s.set_attribute(items[(i * 37) % items.len()], "touched", format!("{i}"))
-                .expect("edit");
-            let mut twin = s.clone();
-            s.freeze(doc).expect("incremental freeze");
-            let before = twin.stats().trees_refrozen_incremental;
+            s.thaw(doc);
+            let before = s.stats();
             let ms = time_ms(|| {
-                twin.freeze(doc).expect("full freeze");
+                s.freeze(doc).expect("full freeze");
             });
+            let after = s.stats();
             Sample {
                 ms,
-                counters: vec![(
-                    "trees_refrozen_incremental",
-                    twin.stats().trees_refrozen_incremental - before,
-                )],
+                counters: vec![
+                    ("trees_frozen", after.trees_frozen - before.trees_frozen),
+                    (
+                        "records_shifted",
+                        after.records_shifted - before.records_shifted,
+                    ),
+                ],
             }
         }
     })
@@ -1611,20 +1621,21 @@ mod tests {
         );
         println!("  substrate {stats:?}, adopt shares records: {shared}");
 
-        // Incremental maintenance: warm localized edits must patch the live
-        // index in place (never rebuild), the whole-tree fallback must still
-        // fire on an oversized edit, and a localized edit batch must re-freeze
-        // by splicing — with a verbatim remount for untouched trees and the
-        // full-rebuild path still serving stores without provenance.
+        // Incremental maintenance. On a thawed tree, warm localized edits
+        // must patch the live index in place (never rebuild), and the
+        // whole-tree fallback must still fire on an oversized edit. On a
+        // frozen tree, edits rewrite the table in place: no thaw, a commit
+        // with nothing to do, and exact splice counts.
         {
             let mut s = xmlstore::Store::new();
             let doc = s
                 .parse_str(&obs_doc(), &ParseOptions::data_oriented())
                 .expect("obs doc parses");
+            s.thaw(doc);
             let root = s.child_elements(doc)[0];
             let item = QName::from("item").local_sym();
-            // The first edit thaws the tree and the first query builds the live
-            // index lazily; neither counts as a patch nor as a rebuild.
+            // The first query builds the live index lazily; that counts
+            // neither as a patch nor as a rebuild.
             let probe = s.create_element("item").expect("element");
             s.insert_child(root, 0, probe).expect("insert");
             let n = s.descendant_elements_by_local(doc, item).len();
@@ -1661,35 +1672,40 @@ mod tests {
                 fallback.index_repatches, fallback.index_full_rebuilds
             );
 
+            // 303 records: the document, the root, 100 items with two
+            // attributes each, and a leaf.
             let mut f = xmlstore::Store::new();
             let fdoc = f
                 .parse_str(&obs_doc(), &ParseOptions::data_oriented())
                 .expect("obs doc parses");
-            f.thaw(fdoc);
-            f.freeze(fdoc).expect("untouched freeze");
-            assert_eq!(
-                f.stats().trees_refrozen_incremental,
-                1,
-                "an untouched thaw/freeze must remount verbatim"
-            );
             let froot = f.child_elements(fdoc)[0];
             let first = f.child_elements(froot)[0];
             f.set_attribute(first, "k", "edited").expect("edit");
-            let mut cold = f.clone();
-            f.freeze(fdoc).expect("incremental freeze");
             assert_eq!(
-                f.stats().trees_refrozen_incremental,
-                2,
-                "a localized edit batch must re-freeze by splicing"
-            );
-            cold.freeze(fdoc).expect("full freeze");
-            assert_eq!(
-                cold.stats().trees_refrozen_incremental,
+                f.stats().records_shifted,
                 0,
-                "without provenance the full-rebuild path serves — fallback intact"
+                "a value overwrite rewrites one record and moves none"
             );
+            // Inserting before the first item: the root and the document
+            // move their exits (2), the 301 records after the site move, and
+            // the new record is written (1); detaching it moves them back.
+            let probe = f.create_element("item").expect("element");
+            f.insert_child(froot, 0, probe).expect("insert");
+            assert_eq!(f.stats().records_shifted, 304, "insert splice");
+            f.detach(probe);
+            assert_eq!(f.stats().records_shifted, 608, "detach splice");
+            let edited = f.stats();
+            f.freeze(fdoc).expect("commit");
+            assert!(f.is_frozen(fdoc) && f.is_frozen(probe));
+            assert_eq!(f.stats(), edited, "a commit of an in-place edit is a no-op");
+            assert_eq!((edited.trees_thawed, edited.trees_frozen), (0, 1));
+            // The full rebuild still serves an explicitly thawed tree.
+            f.thaw(fdoc);
+            f.freeze(fdoc).expect("full freeze");
+            assert_eq!(f.stats().trees_frozen, 2, "thaw then freeze rebuilds");
             println!(
-                "  incremental refreeze: remount and splice counted; provenance-free clone rebuilt"
+                "  in-place edits: {} records shifted, no thaw, no-op commit",
+                edited.records_shifted
             );
         }
 

@@ -1,6 +1,6 @@
 //! Mixed-scenario driver: replays a shaped, seeded interleaving of point
-//! queries, joins, streamed prefixes, `Store` edits with incremental
-//! refreeze, and `docgen` batches over the XMark-style corpus — once
+//! queries, joins, streamed prefixes, `Store` edits with a commit, and
+//! `docgen` batches over the XMark-style corpus — once
 //! in-process against an [`xquery::Engine`], and once through the `qsvc`
 //! framed-TCP service. Each operation class reports throughput (QPS) and
 //! latency percentiles (p50/p95/p99), because the paper's complaint is not
@@ -35,7 +35,7 @@ pub enum OpClass {
     /// A streamed prefix: `subsequence` over a long item list, where the
     /// cursor runtime should stop early instead of materializing the axis.
     StreamPrefix,
-    /// A one-attribute `Store` edit followed by an incremental refreeze.
+    /// A one-attribute `Store` edit followed by a commit (`freeze`).
     Edit,
     /// A small `docgen` batch (one XQuery-pipeline job, one native job).
     DocgenBatch,
@@ -177,8 +177,8 @@ fn batch_template() -> Template {
 }
 
 /// Replays the scenario in-process: queries evaluate on an [`Engine`] whose
-/// store holds the frozen XMark corpus, edits mutate that same store and
-/// re-freeze incrementally, and docgen batches run on a two-worker pool.
+/// store holds the frozen XMark corpus, edits rewrite that same frozen table
+/// in place and commit, and docgen batches run on a two-worker pool.
 pub fn run_in_process(cfg: &ScenarioConfig) -> ScenarioReport {
     let scale = XmarkScale::about(cfg.corpus_nodes);
     let corpus = xmark_auction(&scale, cfg.seed);
@@ -235,7 +235,7 @@ pub fn run_in_process(cfg: &ScenarioConfig) -> ScenarioReport {
                 store
                     .set_attribute(edit_target, "touched", format!("{edit_serial}"))
                     .expect("scenario edit applies");
-                store.freeze(doc).expect("incremental refreeze");
+                store.freeze(doc).expect("commit");
             }
             OpClass::DocgenBatch => {
                 let jobs = [
@@ -268,8 +268,8 @@ pub fn run_in_process(cfg: &ScenarioConfig) -> ScenarioReport {
 }
 
 /// A small editable document for the service scenario: the client keeps a
-/// local mirror, applies the edit there (one attribute + incremental
-/// refreeze), and re-`LOAD`s the serialized result — the round a thin
+/// local mirror, applies the edit there (one attribute + a commit), and
+/// re-`LOAD`s the serialized result — the round a thin
 /// editing front end would make.
 fn editable_doc(items: usize) -> String {
     let mut s = String::from("<edit>");
@@ -339,7 +339,7 @@ pub fn run_service(cfg: &ScenarioConfig) -> ScenarioReport {
                 mirror
                     .set_attribute(target, "touched", format!("{edit_serial}"))
                     .expect("mirror edit applies");
-                mirror.freeze(edit_doc).expect("incremental refreeze");
+                mirror.freeze(edit_doc).expect("commit");
                 let xml = mirror.serialize(edit_doc, &SerializeOptions::default());
                 client.load("edit", &xml).expect("edited doc re-loads");
             }

@@ -341,13 +341,16 @@ proptest! {
     }
 
     /// Freeze/edit/thaw interleavings never change what the tree looks like:
-    /// a store that freezes (and auto-thaws on edit) at random points stays
-    /// deep-equal to a never-frozen shadow store fed the same edits, and the
-    /// frozen-arena order/traversal answers match the walk-based reference.
+    /// a store that freezes (and edits its frozen tables in place) at random
+    /// points stays deep-equal to a never-frozen shadow store fed the same
+    /// edits — every mutator, plus moving a separately parsed frozen fragment
+    /// into the tree — and after every step the index-served answers (names
+    /// and attribute values) match both the walk and a fresh parse of the
+    /// serialisation.
     #[test]
     fn frozen_arena_matches_legacy_under_interleavings(
         spec in tree_strategy(),
-        ops in prop::collection::vec((0u8..4, any::<u8>()), 1..12),
+        ops in prop::collection::vec((0u8..13, any::<u8>()), 1..12),
     ) {
         let spec = root_element(spec);
         let mut a = Store::new();
@@ -359,39 +362,99 @@ proptest! {
         prop_assert_eq!(el_a, el_b);
 
         for (i, &(action, pick)) in ops.iter().enumerate() {
+            let below: Vec<NodeId> = a.descendants(el_a);
+            let elements: Vec<NodeId> = std::iter::once(el_a)
+                .chain(below.iter().copied())
+                .filter(|&n| a.is_element(n))
+                .collect();
+            let texts: Vec<NodeId> = below.iter().copied().filter(|&n| a.is_text(n)).collect();
+            let attrs: Vec<NodeId> = elements
+                .iter()
+                .flat_map(|&e| a.attributes(e).iter().copied())
+                .collect();
+            let nth = |v: &[NodeId]| (!v.is_empty()).then(|| v[pick as usize % v.len()]);
+            let target = nth(&elements).expect("the root is an element");
+            let at = pick as usize % (a.child_count(target) + 1);
+            let cut = nth(&texts).map(|t| {
+                let text = a.string_value(t);
+                (0..=text.len())
+                    .filter(|&c| text.is_char_boundary(c))
+                    .nth(pick as usize % 3)
+                    .unwrap_or(0)
+            });
+            let attr_name = a
+                .attributes(target)
+                .first()
+                .and_then(|&x| a.name(x))
+                .map(|q| q.to_string());
+            let (a_, b_) = (&mut a, &mut b);
+            // Every shared edit runs on both stores and must agree.
+            let mut both = |f: &mut dyn FnMut(&mut Store) -> Option<NodeId>| {
+                let (ra, rb) = (f(a_), f(b_));
+                prop_assert_eq!(ra, rb);
+                Ok(())
+            };
             match action {
                 // Substrate flips only touch store A; B is the shadow.
-                0 => { a.freeze(el_a).unwrap(); }
-                1 => { a.thaw(el_a); }
-                // Shared edits: applied to both stores. Mutating a frozen
-                // tree in A exercises the auto-thaw path.
-                2 => {
-                    let elements: Vec<NodeId> = std::iter::once(el_a)
-                        .chain(a.descendants(el_a))
-                        .filter(|&n| a.is_element(n))
-                        .collect();
-                    let target = elements[pick as usize % elements.len()];
-                    let ta = a.create_text(format!("t{i}")).unwrap();
-                    let tb = b.create_text(format!("t{i}")).unwrap();
-                    prop_assert_eq!(ta, tb);
-                    a.append_child(target, ta).unwrap();
-                    b.append_child(target, tb).unwrap();
-                }
-                _ => {
-                    let elements: Vec<NodeId> = std::iter::once(el_a)
-                        .chain(a.descendants(el_a))
-                        .filter(|&n| a.is_element(n))
-                        .collect();
-                    let target = elements[pick as usize % elements.len()];
-                    let va = a.set_attribute(target, "p", format!("q{i}")).unwrap();
-                    let vb = b.set_attribute(target, "p", format!("q{i}")).unwrap();
-                    prop_assert_eq!(va, vb);
-                }
+                0 => { a_.freeze(el_a).unwrap(); }
+                1 => { a_.thaw(el_a); }
+                2 => both(&mut |s| {
+                    let t = s.create_text(format!("t{i}")).unwrap();
+                    s.append_child(target, t).unwrap();
+                    Some(t)
+                })?,
+                3 => both(&mut |s| Some(s.set_attribute(target, "p", format!("q{i}")).unwrap()))?,
+                // Insert at an index: a two-record fragment.
+                4 => both(&mut |s| {
+                    let e = s.create_element("ins").unwrap();
+                    s.set_attribute(e, "p", format!("i{i}")).unwrap();
+                    s.insert_child(target, at, e).unwrap();
+                    Some(e)
+                })?,
+                // Detach an element or text subtree, or an attribute.
+                5 => if let Some(n) = nth(&below) {
+                    both(&mut |s| { s.detach(n); None })?;
+                },
+                6 => if let Some(n) = nth(&attrs) {
+                    both(&mut |s| { s.detach(n); None })?;
+                },
+                7 => if let Some(old) = nth(&below) {
+                    both(&mut |s| {
+                        let e = s.create_element("rep").unwrap();
+                        s.replace_child(old, e).unwrap();
+                        Some(e)
+                    })?;
+                },
+                8 => if let Some(t) = nth(&texts) {
+                    both(&mut |s| { s.set_text(t, format!("s{i}")).unwrap(); None })?;
+                },
+                9 => both(&mut |s| { s.set_name(target, format!("n{}", i % 3).as_str()).unwrap(); None })?,
+                10 => if let (Some(t), Some(cut)) = (nth(&texts), cut) {
+                    both(&mut |s| Some(s.split_text(t, cut).unwrap()))?;
+                },
+                11 => if let Some(name) = &attr_name {
+                    both(&mut |s| s.remove_attribute(target, name))?;
+                },
+                // Move a separately parsed (frozen) fragment into the tree.
+                _ => both(&mut |s| {
+                    let doc = s
+                        .parse_str(&format!("<frag q='{i}'><b>x</b></frag>"), &ParseOptions::default())
+                        .unwrap();
+                    let frag = s.document_element(doc).unwrap();
+                    s.detach(frag);
+                    s.insert_child(target, at, frag).unwrap();
+                    Some(frag)
+                })?,
             }
             prop_assert!(deep_equal(&a, el_a, &b, el_b));
-            prop_assert_eq!(a.to_xml(el_a), b.to_xml(el_b));
+            let xml = a.to_xml(el_a);
+            prop_assert_eq!(&xml, &b.to_xml(el_b));
             prop_assert_eq!(a.descendants(el_a), b.descendants(el_b));
             assert_index_matches_walk(&a, el_a)?;
+            let mut fresh = Store::new();
+            let doc = fresh.parse_str(&xml, &ParseOptions::default()).unwrap();
+            let el_f = fresh.document_element(doc).unwrap();
+            prop_assert_eq!(index_answers(&a, el_a)?, index_answers(&fresh, el_f)?);
         }
 
         // Refreeze at the end and compare the full answer surface once more.
@@ -408,9 +471,9 @@ proptest! {
         assert_index_matches_walk(&a, el_a)?;
     }
 
-    /// Random edit/query/refreeze interleavings of *interval-local* edits
+    /// Random edit/query/freeze interleavings of *interval-local* edits
     /// (one fresh node or one attribute at a time) keep store A — which
-    /// freezes, refreezes, and patches its live index along the way —
+    /// freezes, edits in place, and patches its live index along the way —
     /// byte-identical to a never-frozen shadow store B fed the same edits,
     /// and never once discard A's live numbering: every structural edit must
     /// take the patch path, so `index_full_rebuilds` stays zero.
@@ -470,7 +533,7 @@ proptest! {
                     let vb = b.set_attribute(target, "p", format!("q{i}")).unwrap();
                     prop_assert_eq!(va, vb);
                 }
-                // Refreeze A; the next edit auto-thaws. B never freezes.
+                // Freeze A; later edits splice its table. B never freezes.
                 _ => { a.freeze(el_a).unwrap(); }
             }
             prop_assert_eq!(a.to_xml(el_a), b.to_xml(el_b));
@@ -515,6 +578,61 @@ fn scan_attr_value(s: &Store, el: NodeId, local: &str, value: &str) -> Vec<NodeI
                 })
         })
         .collect()
+}
+
+/// The index-served answers below `el` — descendant elements per local
+/// name, owners per attribute (name, value) pair — each checked against the
+/// walk, then keyed and given as element ordinals (positions among the
+/// descendant elements), so two stores holding the same document compare
+/// equal whatever their node ids.
+#[allow(clippy::type_complexity)]
+fn index_answers(
+    s: &Store,
+    el: NodeId,
+) -> Result<Vec<(String, Vec<usize>)>, proptest::test_runner::TestCaseError> {
+    let elements: Vec<NodeId> = s
+        .descendants(el)
+        .into_iter()
+        .filter(|&n| s.is_element(n))
+        .collect();
+    let ordinals = |ns: &[NodeId]| -> Vec<usize> {
+        ns.iter()
+            .map(|n| {
+                elements
+                    .iter()
+                    .position(|e| e == n)
+                    .expect("a descendant element")
+            })
+            .collect()
+    };
+    let mut names: Vec<String> = elements
+        .iter()
+        .filter_map(|&e| s.name(e))
+        .map(|q| q.local().to_string())
+        .collect();
+    names.sort();
+    names.dedup();
+    let mut out = Vec::new();
+    for local in names {
+        let sym = crate::sym::intern(&local);
+        let got = s.descendant_elements_by_local(el, sym);
+        let walk: Vec<NodeId> = elements
+            .iter()
+            .copied()
+            .filter(|&e| s.name(e).is_some_and(|q| q.local_sym() == sym))
+            .collect();
+        prop_assert_eq!(&got, &walk);
+        out.push((format!("//{local}"), ordinals(&got)));
+    }
+    let mut pairs = attr_pairs(s, el);
+    pairs.sort();
+    pairs.dedup();
+    for (local, value) in pairs {
+        let got = s.elements_with_attr_value(el, crate::sym::intern(&local), &value);
+        prop_assert_eq!(&got, &scan_attr_value(s, el, &local, &value));
+        out.push((format!("@{local}={value}"), ordinals(&got)));
+    }
+    Ok(out)
 }
 
 /// All-pairs agreement between the indexed `doc_order` and the pre-index

@@ -11,22 +11,36 @@
 //! stable `NodeId`s, which the XQuery engine and the document generators both
 //! rely on.
 //!
-//! ## Structural index
+//! ## Two substrates
 //!
-//! Document order and the descendant axis are answered from a lazily built
-//! per-tree index: a pre/post numbering (one DFS counter, entry and exit)
-//! plus a name → nodes map per tree. `a` is an ancestor of `b` iff
-//! `pre(a) < pre(b) && post(b) < post(a)`, and document order is just the
-//! `pre` comparison — both O(1) once a tree is numbered, where the previous
-//! implementation re-walked parent chains with linear sibling-position scans
-//! on every comparison. Structural mutations drop the owning tree's index;
-//! the next order query renumbers that tree in one pass. Value-only edits
-//! (attribute overwrite, `set_text`) keep the index. The walk-based
-//! comparison survives as [`Store::doc_order_by_walk`], the reference
-//! implementation the property tests check the index against.
+//! A tree is either *frozen* — a contiguous pre-order record table (see
+//! `frozen.rs`), which is how every parse and adopt lands — or *thawed*, a
+//! pointer-shaped overlay of per-node child and attribute lists, which is how
+//! constructed trees start out. Every mutator edits a tree on its own
+//! substrate: a frozen tree's table is rewritten in place (one record for a
+//! value edit, a splice of the record run for a structural one), so
+//! [`Store::freeze`] on an edited frozen tree has nothing to do. A detached
+//! fragment takes its new parent's substrate: a thawed fragment is
+//! flattened into records, a frozen one under a thawed parent is thawed.
+//! [`Store::thaw`] turns a frozen tree back into the overlay explicitly, and
+//! freezing it again rebuilds its table in full.
+//!
+//! ## Structural index of thawed trees
+//!
+//! Document order and the descendant axis of a thawed tree are answered from
+//! a lazily built per-tree index: a pre/post numbering (one DFS counter,
+//! entry and exit) plus a name → nodes map per tree. `a` is an ancestor of
+//! `b` iff `pre(a) < pre(b) && post(b) < post(a)`, and document order is just
+//! the `pre` comparison — both O(1) once a tree is numbered. Structural
+//! mutations patch the owning tree's numbering in place (or, for edit storms,
+//! drop it for a lazy renumbering). Value-only edits (attribute overwrite,
+//! `set_text`) keep the index. Frozen trees need none of this: positions are
+//! the numbering. The walk-based comparison survives as
+//! [`Store::doc_order_by_walk`], the reference implementation the property
+//! tests check both against.
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::frozen::{FrozenRec, FrozenTree, TreeSnapshot, NO_PARENT};
+use crate::frozen::{FrozenRec, FrozenTree, RunEdit, Spliced, TreeSnapshot, NO_PARENT};
 use crate::qname::QName;
 use crate::sym::Sym;
 use std::collections::HashMap;
@@ -91,9 +105,9 @@ impl NodeData {
     }
 }
 
-/// One id's slot: either a mutable pointer-shaped node (the legacy overlay,
-/// used while a tree is being built or edited) or a position inside a
-/// mounted [`FrozenTree`]. A tree is always entirely one or the other.
+/// One id's slot: either a pointer-shaped node (the thawed overlay that
+/// constructed trees start on) or a position inside a mounted
+/// [`FrozenTree`]. A tree is always entirely one or the other.
 #[derive(Debug, Clone)]
 enum Slot {
     Thawed(NodeData),
@@ -147,51 +161,48 @@ impl Mount {
             None => positions.iter().map(|&p| self.ids[p as usize]).collect(),
         }
     }
-}
 
-/// Node id → old layout position for a [`ThawOrigin`]. Parsed and adopted
-/// trees land on consecutive ids, so the common case is a subtraction; the
-/// map covers trees frozen in place on scattered ids.
-#[derive(Debug, Clone)]
-enum PosLookup {
-    Contig { base: u32, len: u32 },
-    Map(HashMap<NodeId, u32>),
-}
-
-impl PosLookup {
-    fn get(&self, id: NodeId) -> Option<u32> {
-        match self {
-            PosLookup::Contig { base, len } => {
-                let NodeId(raw) = id;
-                (raw >= *base && raw - base < *len).then(|| raw - base)
+    /// Replays a record-table splice on the id tables: the fragment's ids
+    /// (`ids`, laid out as `frag`) take the place of the removed range,
+    /// whose ids come back.
+    fn splice_ids(
+        &mut self,
+        sp: &Spliced,
+        frag: Option<&FrozenTree>,
+        ids: Vec<NodeId>,
+    ) -> Vec<NodeId> {
+        let child_ids: Vec<NodeId> = frag.map_or_else(Vec::new, |f| {
+            f.kids.iter().map(|&p| ids[p as usize]).collect()
+        });
+        let root = ids.first().copied();
+        let at = sp.at as usize;
+        let gone = self.ids.splice(at..at + sp.removed as usize, ids).collect();
+        self.child_ids
+            .splice(sp.kids_at..sp.kids_at + sp.kids_removed, child_ids);
+        match sp.run {
+            RunEdit::Insert(k) => self.child_ids.insert(k, root.expect("an inserted root")),
+            RunEdit::Remove(k) => {
+                self.child_ids.remove(k);
             }
-            PosLookup::Map(m) => m.get(&id).copied(),
+            RunEdit::Replace(k) => self.child_ids[k] = root.expect("a replacing root"),
+            RunEdit::Keep => {}
         }
+        self.contig_base = None;
+        gone
     }
 }
 
-/// What a thawed tree remembers about the frozen layout it was expanded
-/// from, so [`Store::freeze`] can *splice* the edited subtree's records into
-/// the shared prefix/suffix instead of rebuilding the whole table.
-///
-/// `cover` is the current-tree LCA of every edit site since the thaw; every
-/// record outside `cover`'s subtree is byte-identical to its old self (moves
-/// always mark both the detach and the attach parent, so a node whose
-/// ancestry changed is always under the LCA). `old_dirty` is the union
-/// interval of *old* positions known invalidated — fragments that left or
-/// re-entered the tree — which the chosen splice range must swallow, lifting
-/// the cover up the parent chain if necessary. The origin is dropped on
-/// freeze (consumed), or when its root is grafted into another tree.
-#[derive(Debug, Clone)]
-struct ThawOrigin {
-    tree: Arc<FrozenTree>,
-    /// Old position → node id (the thaw-time id table).
-    ids: Vec<NodeId>,
-    pos: PosLookup,
-    /// Current-tree LCA of all edit sites; `None` = untouched since thaw.
-    cover: Option<NodeId>,
-    /// Inclusive min/max of invalidated old positions, if any.
-    old_dirty: Option<(u32, u32)>,
+/// A structural edit of a frozen tree, by record position.
+#[derive(Debug, Clone, Copy)]
+enum FrozenEdit {
+    /// The detached tree at the node id enters under the record at the
+    /// position: as child number `i`, or as an attribute when `None`.
+    Insert(u32, Option<usize>, NodeId),
+    /// The subtree at the position leaves the tree.
+    Remove(u32),
+    /// The child subtree at the position gives way to the detached tree at
+    /// the node id.
+    Replace(u32, NodeId),
 }
 
 /// Relaxed counters proving the flat-arena paths fire (observability; never
@@ -205,7 +216,7 @@ struct StatCells {
     mounts_released: AtomicU64,
     index_repatches: AtomicU64,
     index_full_rebuilds: AtomicU64,
-    trees_refrozen_incremental: AtomicU64,
+    records_shifted: AtomicU64,
     nodes_copied: AtomicU64,
 }
 
@@ -219,23 +230,31 @@ pub struct StoreStats {
     pub tree_snapshots: u64,
     /// Trees frozen into the arena form ([`Store::freeze`] and parses).
     pub trees_frozen: u64,
-    /// Trees thawed back to the mutable overlay (explicit or on edit).
+    /// Trees thawed back to the pointer-shaped overlay: explicitly, or a
+    /// frozen fragment attached under a thawed parent. Edits of frozen trees
+    /// never thaw.
     pub trees_thawed: u64,
     /// Frozen mounts dropped by [`Store::release_mount`] — a cache evicting
     /// a document it had adopted gives the record table back this way.
     pub mounts_released: u64,
-    /// Structural edits that patched the live numbering in place (splice +
-    /// positional offset fixup) instead of discarding it. Cold edits — no
-    /// index built yet — count neither here nor below.
+    /// Structural edits of thawed trees that patched the live numbering in
+    /// place (splice + positional offset fixup) instead of discarding it.
+    /// Cold edits — no index built yet — count neither here nor below.
     pub index_repatches: u64,
     /// Structural edits that discarded a live numbering: the whole-tree
     /// fallback for pathological edit storms (or a defensive reset when a
     /// needed entry went stale). The lazy initial build is not a rebuild.
     pub index_full_rebuilds: u64,
-    /// Freezes that reused the previous [`FrozenTree`]'s records — either
-    /// remounting an untouched tree verbatim or splicing only the edited
-    /// subtree's records into the shared prefix/suffix.
+    /// Freezes that reused an earlier record table instead of rebuilding
+    /// one. Frozen trees are edited in place and a thawed tree always
+    /// freezes in full, so this is 0; the field stays for readers of the
+    /// ratio it feeds.
     pub trees_refrozen_incremental: u64,
+    /// Records that in-place edits of frozen trees moved or rewrote: each
+    /// structural splice counts its fragment, the records after it, the
+    /// removed subtree and the prefix records whose offsets changed. A value
+    /// edit (attribute overwrite, `set_text`, `set_name`) counts 0.
+    pub records_shifted: u64,
     /// Nodes (attributes included) allocated by [`Store::deep_copy`].
     pub nodes_copied: u64,
 }
@@ -315,7 +334,8 @@ impl StoreIndex {
 #[derive(Debug, Default)]
 pub struct Store {
     slots: Vec<Slot>,
-    /// Mounted frozen trees; `None` entries are free (recycled on thaw).
+    /// Mounted frozen trees; `None` entries are free (recycled on thaw, or
+    /// when a frozen fragment's table is absorbed into another tree).
     mounts: Vec<Option<Mount>>,
     free_mounts: Vec<u32>,
     /// Lazily built structural index **for thawed trees only**; a `Mutex`
@@ -323,11 +343,6 @@ pub struct Store {
     /// holding a store are handed to big-stack worker threads by reference.
     /// Frozen trees answer order queries lock-free from their layout.
     index: Mutex<StoreIndex>,
-    /// Keyed by tree root: what each currently-thawed tree remembers about
-    /// the frozen layout it came from, for the re-freeze splice. A tree that
-    /// stays thawed forever keeps its old record table alive — one
-    /// generation, released on the next freeze.
-    thaw_origins: HashMap<NodeId, ThawOrigin>,
     stats: StatCells,
     /// Test-only cap on the node count, so arena exhaustion is testable
     /// without allocating 2^32 nodes.
@@ -338,15 +353,13 @@ pub struct Store {
 impl Clone for Store {
     fn clone(&self) -> Self {
         // The index and the stats are caches/diagnostics: the clone starts
-        // cold. Mounted record tables are shared, not copied.
+        // cold. Mounted record tables are shared, not copied; whichever
+        // store edits one first copies it.
         Store {
             slots: self.slots.clone(),
             mounts: self.mounts.clone(),
             free_mounts: self.free_mounts.clone(),
             index: Mutex::new(StoreIndex::default()),
-            // Re-freeze provenance is an optimisation, not state: the clone
-            // pays one full freeze per thawed tree and is correct from zero.
-            thaw_origins: HashMap::new(),
             stats: StatCells::default(),
             #[cfg(test)]
             node_cap: self.node_cap,
@@ -442,10 +455,8 @@ impl Store {
             mounts_released: self.stats.mounts_released.load(AtomicOrdering::Relaxed),
             index_repatches: self.stats.index_repatches.load(AtomicOrdering::Relaxed),
             index_full_rebuilds: self.stats.index_full_rebuilds.load(AtomicOrdering::Relaxed),
-            trees_refrozen_incremental: self
-                .stats
-                .trees_refrozen_incremental
-                .load(AtomicOrdering::Relaxed),
+            trees_refrozen_incremental: 0,
+            records_shifted: self.stats.records_shifted.load(AtomicOrdering::Relaxed),
             nodes_copied: self.nodes_copied(),
         }
     }
@@ -742,15 +753,6 @@ impl Store {
             cur = self.parent(n);
         }
         false
-    }
-
-    /// Thaws the tree containing `id` if it is frozen. Every mutator calls
-    /// this first: edits happen on the pointer-shaped overlay, and the tree
-    /// can be [`Store::freeze`]-d again afterwards.
-    fn thaw_tree_of(&mut self, id: NodeId) {
-        if self.floc(id).is_some() {
-            self.thaw(id);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1054,116 +1056,6 @@ impl Store {
         self.bump(&self.stats.index_repatches);
     }
 
-    // ------------------------------------------------------------------
-    // Re-freeze provenance maintenance
-    //
-    // The mutators below the index hooks also feed the [`ThawOrigin`] of
-    // their tree (when it has one): the current-tree LCA of edit sites plus
-    // the union interval of invalidated *old* positions. That is everything
-    // `freeze` needs to splice instead of rebuild.
-    // ------------------------------------------------------------------
-
-    /// LCA of two nodes known to share a tree (walk both to equal depth,
-    /// then step together).
-    fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let chain_len = |mut n: NodeId| {
-            let mut d = 0usize;
-            while let Some(p) = self.parent(n) {
-                n = p;
-                d += 1;
-            }
-            d
-        };
-        let (mut a, mut b) = (a, b);
-        let (mut da, mut db) = (chain_len(a), chain_len(b));
-        while da > db {
-            a = self.parent(a).expect("depth accounted");
-            da -= 1;
-        }
-        while db > da {
-            b = self.parent(b).expect("depth accounted");
-            db -= 1;
-        }
-        while a != b {
-            a = self.parent(a).expect("nodes share a tree");
-            b = self.parent(b).expect("nodes share a tree");
-        }
-        a
-    }
-
-    /// Records an edit at `site` for the origin of `root` (if tracked),
-    /// widening `old_dirty` over the old positions of `frag`'s subtree when
-    /// a fragment moved across the tree boundary.
-    fn origin_mark(&mut self, root: NodeId, site: NodeId, frag: Option<NodeId>) {
-        let Some(o) = self.thaw_origins.get(&root) else {
-            return;
-        };
-        let new_cover = match o.cover {
-            None => site,
-            // The old cover may itself have left the tree inside a detached
-            // fragment; its dirt is in `old_dirty` already, so the site
-            // alone carries on.
-            Some(c) if self.root(c) == root => self.lca(c, site),
-            Some(_) => site,
-        };
-        let mut span = o.old_dirty;
-        let mut widen = |p: u32| {
-            span = Some(match span {
-                None => (p, p),
-                Some((lo, hi)) => (lo.min(p), hi.max(p)),
-            });
-        };
-        match frag {
-            Some(f) if !self.is_attribute(f) => {
-                for n in std::iter::once(f).chain(self.descendants_iter(f)) {
-                    if let Some(p) = o.pos.get(n) {
-                        widen(p);
-                    }
-                    for &a in self.node(n).attributes.iter() {
-                        if let Some(p) = o.pos.get(a) {
-                            widen(p);
-                        }
-                    }
-                }
-            }
-            Some(f) => {
-                if let Some(p) = o.pos.get(f) {
-                    widen(p);
-                }
-            }
-            None => {
-                if let Some(p) = o.pos.get(site) {
-                    widen(p);
-                }
-            }
-        }
-        let o = self.thaw_origins.get_mut(&root).expect("checked above");
-        o.cover = Some(new_cover);
-        o.old_dirty = span;
-    }
-
-    /// Hook for structural edits: `fragment` was just grafted under (or
-    /// detached from) `parent`. Retires the fragment's own origin — its tree
-    /// merged away — and marks the edit on the surviving tree's origin.
-    fn origin_structural(&mut self, parent: NodeId, fragment: NodeId) {
-        if self.thaw_origins.is_empty() {
-            return;
-        }
-        self.thaw_origins.remove(&fragment);
-        let root = self.root(parent);
-        self.origin_mark(root, parent, Some(fragment));
-    }
-
-    /// Hook for value edits (text, name, attribute value): only `node`'s own
-    /// record went stale.
-    fn origin_value(&mut self, node: NodeId) {
-        if self.thaw_origins.is_empty() {
-            return;
-        }
-        let root = self.root(node);
-        self.origin_mark(root, node, None);
-    }
-
     /// Drops only the attribute-value maps of the tree containing `id`,
     /// keeping its numbering and name vectors. Called when an attribute's
     /// value is overwritten in place: document order is unaffected, but any
@@ -1181,6 +1073,121 @@ impl Store {
         }
     }
 
+    // ------------------------------------------------------------------
+    // In-place edits of frozen trees
+    // ------------------------------------------------------------------
+
+    /// Mount `m`'s record table, copied first when a snapshot or another
+    /// store shares it.
+    fn tree_mut(&mut self, m: u32) -> &mut FrozenTree {
+        Arc::make_mut(&mut self.mounts[m as usize].as_mut().expect("live mount").tree)
+    }
+
+    /// The detached tree at `root` as a record table plus its ids, read
+    /// without changing anything: a frozen tree's own table, or a thawed
+    /// tree flattened.
+    fn fragment(&self, root: NodeId) -> Result<(Arc<FrozenTree>, Vec<NodeId>), XmlError> {
+        if let Some((m, _)) = self.floc(root) {
+            let mount = self.mount(m);
+            return Ok((mount.tree.clone(), mount.ids.clone()));
+        }
+        let (recs, ids) = self.flatten(root)?;
+        Ok((Arc::new(FrozenTree::from_recs(recs)), ids))
+    }
+
+    /// Every structural edit of a frozen tree goes through here: the record
+    /// table of mount `m` is spliced in place (see `FrozenTree::insert`,
+    /// `remove` and `replace`), the mount replays the splice on its id
+    /// tables, and the slot of every node whose position changed follows
+    /// it. An incoming detached tree is flattened when thawed and absorbed,
+    /// mount and all, when frozen; a removed subtree becomes a frozen tree of
+    /// its own. Only an incoming fragment too large for the table errs, and
+    /// then nothing has changed.
+    fn splice_frozen(&mut self, m: u32, edit: FrozenEdit) -> Result<(), XmlError> {
+        let incoming = match edit {
+            FrozenEdit::Insert(_, _, n) | FrozenEdit::Replace(_, n) => Some(n),
+            FrozenEdit::Remove(_) => None,
+        };
+        let (frag, frag_ids) = match incoming {
+            Some(root) => {
+                let (tree, ids) = self.fragment(root)?;
+                if self.mount(m).tree.len() + tree.len() > u32::MAX as usize {
+                    return Err(XmlError::new(XmlErrorKind::ArenaFull, 0, 0));
+                }
+                match self.floc(root) {
+                    Some((fm, _)) => {
+                        self.mounts[fm as usize] = None;
+                        self.free_mounts.push(fm);
+                    }
+                    None => {
+                        self.index
+                            .get_mut()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .trees
+                            .remove(&root);
+                    }
+                }
+                (Some(tree), ids)
+            }
+            None => (None, Vec::new()),
+        };
+        let tree = self.tree_mut(m);
+        let sp = match edit {
+            FrozenEdit::Insert(parent, child_index, _) => {
+                tree.insert(parent, child_index, frag.as_deref().expect("fragment"))
+            }
+            FrozenEdit::Remove(pos) => tree.remove(pos),
+            FrozenEdit::Replace(pos, _) => tree.replace(pos, frag.as_deref().expect("fragment")),
+        };
+        let Store {
+            slots,
+            mounts,
+            stats,
+            ..
+        } = self;
+        let mount = mounts[m as usize].as_mut().expect("live mount");
+        let gone = mount.splice_ids(&sp, frag.as_deref(), frag_ids);
+        for (pos, &id) in mount.ids.iter().enumerate().skip(sp.at as usize) {
+            slots[id.index()] = Slot::Frozen {
+                mount: m,
+                pos: pos as u32,
+            };
+        }
+        stats
+            .records_shifted
+            .fetch_add(sp.shifted, AtomicOrdering::Relaxed);
+        if let Some(detached) = sp.detached {
+            self.mount_ids(Arc::new(detached), gone);
+        }
+        Ok(())
+    }
+
+    /// A value edit on either substrate: rewrites the kind of `id` in place
+    /// and keeps the indexes current. Returns the old kind.
+    fn rewrite(&mut self, id: NodeId, kind: NodeKind) -> NodeKind {
+        if let Some((m, pos)) = self.floc(id) {
+            return self.tree_mut(m).set_kind(pos, kind);
+        }
+        let old = std::mem::replace(&mut self.node_mut(id).kind, kind);
+        match (&old, self.kind(id)) {
+            (NodeKind::Element(a), NodeKind::Element(b)) => {
+                let (a, b) = (*a, *b);
+                self.index_rename(id, &a, &b);
+            }
+            // Order and names unchanged, so the numbering stays — only the
+            // value → owners maps go stale.
+            (NodeKind::Attribute(..), _) => self.invalidate_attr_values_of(id),
+            _ => {}
+        }
+        old
+    }
+
+    // ------------------------------------------------------------------
+    // Mutators. Each validates everything first, then edits the tree on
+    // its own substrate: frozen trees in place, thawed trees through the
+    // overlay and its index patches.
+    // ------------------------------------------------------------------
+
     /// Appends a detached non-attribute node as the last child of `parent`.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> Result<(), XmlError> {
         let pos = self.children(parent).len();
@@ -1196,8 +1203,6 @@ impl Store {
     ) -> Result<(), XmlError> {
         self.assert_container(parent)?;
         self.assert_detached(child)?;
-        self.thaw_tree_of(parent);
-        self.thaw_tree_of(child);
         if self.is_attribute(child) {
             return Err(XmlError::structural(
                 "attribute nodes are attached with set_attribute_node, not as children",
@@ -1206,32 +1211,36 @@ impl Store {
         if self.would_cycle(parent, child) {
             return Err(XmlError::structural("insertion would create a cycle"));
         }
-        let len = self.node(parent).children.len();
-        if index > len {
+        if index > self.child_count(parent) {
             return Err(XmlError::structural("child index out of bounds"));
         }
+        if let Some((m, pos)) = self.floc(parent) {
+            return self.splice_frozen(m, FrozenEdit::Insert(pos, Some(index), child));
+        }
+        self.thaw(child);
         self.node_mut(parent).children.insert(index, child);
         self.node_mut(child).parent = Some(parent);
         self.index_attach(parent, child, false);
-        self.origin_structural(parent, child);
         Ok(())
     }
 
     /// Detaches `id` from its parent (children or attributes list). No-op if
-    /// already detached.
+    /// already detached. A node detached from a frozen tree is the root of a
+    /// frozen tree of its own.
     pub fn detach(&mut self, id: NodeId) {
-        if self.parent(id).is_none() {
+        let Some(parent) = self.parent(id) else {
+            return;
+        };
+        if let Some((m, pos)) = self.floc(id) {
+            self.splice_frozen(m, FrozenEdit::Remove(pos))
+                .expect("a removal brings in no records");
             return;
         }
-        self.thaw_tree_of(id);
-        if let Some(parent) = self.node(id).parent {
-            let p = self.node_mut(parent);
-            p.children.retain(|&c| c != id);
-            p.attributes.retain(|&a| a != id);
-            self.node_mut(id).parent = None;
-            self.index_detach(parent, id);
-            self.origin_structural(parent, id);
-        }
+        let p = self.node_mut(parent);
+        p.children.retain(|&c| c != id);
+        p.attributes.retain(|&a| a != id);
+        self.node_mut(id).parent = None;
+        self.index_detach(parent, id);
     }
 
     /// Replaces the attached node `old` with the detached node `new`,
@@ -1241,8 +1250,6 @@ impl Store {
             .parent(old)
             .ok_or_else(|| XmlError::structural("replace_child: old node is detached"))?;
         self.assert_detached(new)?;
-        self.thaw_tree_of(old);
-        self.thaw_tree_of(new);
         if self.is_attribute(old) || self.is_attribute(new) {
             return Err(XmlError::structural(
                 "replace_child does not handle attributes",
@@ -1251,19 +1258,21 @@ impl Store {
         if self.would_cycle(parent, new) {
             return Err(XmlError::structural("replacement would create a cycle"));
         }
+        if let Some((m, pos)) = self.floc(old) {
+            return self.splice_frozen(m, FrozenEdit::Replace(pos, new));
+        }
         let pos = self
             .node(parent)
             .children
             .iter()
             .position(|&c| c == old)
             .ok_or_else(|| XmlError::structural("corrupt parent/child link"))?;
+        self.thaw(new);
         self.node_mut(parent).children[pos] = new;
         self.node_mut(new).parent = Some(parent);
         self.node_mut(old).parent = None;
         self.index_detach(parent, old);
         self.index_attach(parent, new, false);
-        self.origin_structural(parent, old);
-        self.origin_structural(parent, new);
         Ok(())
     }
 
@@ -1282,29 +1291,31 @@ impl Store {
                 "set_attribute target is not an element",
             ));
         }
-        self.thaw_tree_of(el);
         let existing = self
             .attributes(el)
             .iter()
             .copied()
             .find(|&a| matches!(self.kind(a), NodeKind::Attribute(n, _) if *n == name));
         if let Some(attr) = existing {
-            // Value-only overwrite: order and names unchanged, so the
-            // numbering stays — only the value → owners maps go stale.
-            if let NodeKind::Attribute(_, v) = &mut self.node_mut(attr).kind {
-                *v = value;
-            }
-            self.invalidate_attr_values_of(el);
-            self.origin_value(attr);
-            Ok(attr)
-        } else {
-            let attr = self.create_attribute(name, value)?;
-            self.node_mut(attr).parent = Some(el);
-            self.node_mut(el).attributes.push(attr);
-            self.index_attach(el, attr, true);
-            self.origin_structural(el, attr);
-            Ok(attr)
+            self.rewrite(attr, NodeKind::Attribute(name, value));
+            return Ok(attr);
         }
+        let attr = self.create_attribute(name, value)?;
+        self.attach_attribute(el, attr)?;
+        Ok(attr)
+    }
+
+    /// Appends the detached attribute `attr` to `el`'s attributes, on
+    /// `el`'s substrate. The callers have checked both nodes.
+    fn attach_attribute(&mut self, el: NodeId, attr: NodeId) -> Result<(), XmlError> {
+        if let Some((m, pos)) = self.floc(el) {
+            return self.splice_frozen(m, FrozenEdit::Insert(pos, None, attr));
+        }
+        self.thaw(attr);
+        self.node_mut(attr).parent = Some(el);
+        self.node_mut(el).attributes.push(attr);
+        self.index_attach(el, attr, true);
+        Ok(())
     }
 
     /// Attaches a detached attribute node to `el`. Errors if an attribute
@@ -1332,13 +1343,7 @@ impl Store {
         {
             return Err(XmlError::structural(format!("duplicate attribute {name}")));
         }
-        self.thaw_tree_of(el);
-        self.thaw_tree_of(attr);
-        self.node_mut(attr).parent = Some(el);
-        self.node_mut(el).attributes.push(attr);
-        self.index_attach(el, attr, true);
-        self.origin_structural(el, attr);
-        Ok(())
+        self.attach_attribute(el, attr)
     }
 
     /// Attaches a detached attribute node to `el` **without** the duplicate
@@ -1356,13 +1361,7 @@ impl Store {
         if !self.is_attribute(attr) {
             return Err(XmlError::structural("argument is not an attribute node"));
         }
-        self.thaw_tree_of(el);
-        self.thaw_tree_of(attr);
-        self.node_mut(attr).parent = Some(el);
-        self.node_mut(el).attributes.push(attr);
-        self.index_attach(el, attr, true);
-        self.origin_structural(el, attr);
-        Ok(())
+        self.attach_attribute(el, attr)
     }
 
     /// Removes attribute `name` from `el`; returns the detached node if it
@@ -1373,42 +1372,29 @@ impl Store {
         Some(attr)
     }
 
-    /// Overwrites the content of a text/comment node. Value-only: the
-    /// structural index is untouched (a frozen tree still thaws — its
-    /// records are immutable).
+    /// Overwrites the content of a text/comment node. Value-only: one record
+    /// (or overlay node) is rewritten, and no index moves.
     pub fn set_text(&mut self, id: NodeId, text: impl Into<Arc<str>>) -> Result<(), XmlError> {
-        if !matches!(self.kind(id), NodeKind::Text(_) | NodeKind::Comment(_)) {
-            return Err(XmlError::structural(
-                "set_text target is not a text or comment node",
-            ));
-        }
-        self.thaw_tree_of(id);
-        match &mut self.node_mut(id).kind {
-            NodeKind::Text(t) | NodeKind::Comment(t) => {
-                *t = text.into();
-                self.origin_value(id);
-                Ok(())
+        let kind = match self.kind(id) {
+            NodeKind::Text(_) => NodeKind::Text(text.into()),
+            NodeKind::Comment(_) => NodeKind::Comment(text.into()),
+            _ => {
+                return Err(XmlError::structural(
+                    "set_text target is not a text or comment node",
+                ))
             }
-            _ => Err(XmlError::structural(
-                "set_text target is not a text or comment node",
-            )),
-        }
+        };
+        self.rewrite(id, kind);
+        Ok(())
     }
 
-    /// Renames an element. Moves it between the per-name index vectors; the
+    /// Renames an element. Moves it between the per-name index lists; the
     /// numbering is untouched (a rename changes no ranks).
     pub fn set_name(&mut self, id: NodeId, name: impl Into<QName>) -> Result<(), XmlError> {
         if !self.is_element(id) {
             return Err(XmlError::structural("set_name target is not an element"));
         }
-        self.thaw_tree_of(id);
-        let new: QName = name.into();
-        let old = match &mut self.node_mut(id).kind {
-            NodeKind::Element(n) => std::mem::replace(n, new),
-            _ => unreachable!("checked above"),
-        };
-        self.index_rename(id, &old, &new);
-        self.origin_value(id);
+        self.rewrite(id, NodeKind::Element(name.into()));
         Ok(())
     }
 
@@ -1419,7 +1405,7 @@ impl Store {
     pub fn split_text(&mut self, id: NodeId, at: usize) -> Result<NodeId, XmlError> {
         let (head, tail): (Arc<str>, Arc<str>) = match self.kind(id) {
             NodeKind::Text(t) => {
-                if !t.is_char_boundary(at) || at > t.len() {
+                if !t.is_char_boundary(at) {
                     return Err(XmlError::structural("split offset is not a char boundary"));
                 }
                 (t[..at].into(), t[at..].into())
@@ -1429,22 +1415,14 @@ impl Store {
         let parent = self
             .parent(id)
             .ok_or_else(|| XmlError::structural("split_text on a detached node"))?;
-        self.thaw_tree_of(id);
-        if let NodeKind::Text(t) = &mut self.node_mut(id).kind {
-            *t = head;
-        }
-        let tail_node = self.create_text(tail)?;
         let pos = self
-            .node(parent)
-            .children
+            .children(parent)
             .iter()
             .position(|&c| c == id)
             .ok_or_else(|| XmlError::structural("corrupt parent/child link"))?;
-        self.node_mut(parent).children.insert(pos + 1, tail_node);
-        self.node_mut(tail_node).parent = Some(parent);
-        self.index_attach(parent, tail_node, false);
-        self.origin_value(id);
-        self.origin_structural(parent, tail_node);
+        let tail_node = self.create_text(tail)?;
+        self.rewrite(id, NodeKind::Text(head));
+        self.insert_child(parent, pos + 1, tail_node)?;
         Ok(tail_node)
     }
 
@@ -1500,25 +1478,29 @@ impl Store {
     // ------------------------------------------------------------------
 
     /// Freezes the tree containing `id` into a contiguous pre-order record
-    /// table; returns the tree root. Idempotent. Node ids are unchanged —
-    /// only the representation behind them moves. The legacy numbering for
-    /// the tree is dropped: frozen trees answer order queries from the
-    /// layout, lock-free.
+    /// table; returns the tree root. Idempotent, and a no-op on a frozen
+    /// tree however it was edited: edits rewrite frozen tables in place.
+    /// Node ids are unchanged — only the representation behind them moves.
+    /// The thawed numbering for the tree is dropped: frozen trees answer
+    /// order queries from the layout, lock-free.
     pub fn freeze(&mut self, id: NodeId) -> Result<NodeId, XmlError> {
         let root = self.root(id);
-        if self.floc(root).is_some() {
-            return Ok(root);
+        if self.floc(root).is_none() {
+            let (recs, ids) = self.flatten(root)?;
+            self.mount_ids(Arc::new(FrozenTree::from_recs(recs)), ids);
+            self.index
+                .get_mut()
+                .unwrap_or_else(|e| e.into_inner())
+                .trees
+                .remove(&root);
+            self.bump(&self.stats.trees_frozen);
         }
-        // A tree thawed from a frozen layout can usually go back
-        // incrementally: remount the old table verbatim when untouched, or
-        // splice only the edited subtree's records into the shared
-        // prefix/suffix. Localized-only — anything unprovable falls through
-        // to the full rebuild below.
-        if let Some(origin) = self.thaw_origins.remove(&root) {
-            if self.refreeze_incremental(root, origin)? {
-                return Ok(root);
-            }
-        }
+        Ok(root)
+    }
+
+    /// The thawed tree at `root` as pre-order records (attributes right
+    /// after their element) plus the node id of each position.
+    fn flatten(&self, root: NodeId) -> Result<(Vec<FrozenRec>, Vec<NodeId>), XmlError> {
         let mut recs: Vec<FrozenRec> = Vec::new();
         let mut ids: Vec<NodeId> = Vec::new();
         enum Visit {
@@ -1565,14 +1547,12 @@ impl Store {
                 Visit::Exit(pos) => recs[pos].subtree_end = recs.len() as u32,
             }
         }
-        let tree = Arc::new(FrozenTree::from_recs(recs));
-        self.mount_in_place(root, tree, ids);
-        Ok(root)
+        Ok((recs, ids))
     }
 
-    /// Shared tail of every freeze path: point the ids' slots at a new
-    /// mount and drop the (now dead) legacy numbering for the tree.
-    fn mount_in_place(&mut self, root: NodeId, tree: Arc<FrozenTree>, ids: Vec<NodeId>) {
+    /// Mounts `tree` on the existing nodes `ids` (position order): their
+    /// slots point at the new mount.
+    fn mount_ids(&mut self, tree: Arc<FrozenTree>, ids: Vec<NodeId>) {
         let mount_ix = self.new_mount_ix();
         for (pos, &nid) in ids.iter().enumerate() {
             self.slots[nid.index()] = Slot::Frozen {
@@ -1581,217 +1561,20 @@ impl Store {
             };
         }
         self.mounts[mount_ix as usize] = Some(Mount::new(tree, ids));
-        self.index
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .trees
-            .remove(&root);
-        self.bump(&self.stats.trees_frozen);
     }
 
-    /// The incremental re-freeze: `root`'s tree was thawed from `origin`'s
-    /// record table and every edit since has been tracked. Returns `Ok(false)`
-    /// when the edits are not provably localized — the caller then rebuilds
-    /// from scratch, which is always correct.
-    ///
-    /// The splice contract: pick a node `d` that existed in the old layout
-    /// at position `s` (old subtree `[s, e)`) such that (a) `d`'s current
-    /// subtree contains every edit site (it is an ancestor-or-self of the
-    /// tracked cover) and (b) `[s, e)` contains every invalidated old
-    /// position (`old_dirty`). Then records outside `[s, e)` are reusable
-    /// verbatim up to position arithmetic: prefix `subtree_end`s spanning
-    /// the splice and all suffix `subtree_end`/`parent` positions shift by
-    /// `delta`, the length change of the splice.
-    fn refreeze_incremental(&mut self, root: NodeId, origin: ThawOrigin) -> Result<bool, XmlError> {
-        let ThawOrigin {
-            tree: old,
-            ids: old_ids,
-            pos,
-            cover,
-            old_dirty,
-        } = origin;
-        if old_ids.first() != Some(&root) {
-            return Ok(false);
-        }
-        let Some(mut d) = cover else {
-            // Untouched since thaw: remount the old table verbatim.
-            if old_dirty.is_some() {
-                return Ok(false);
-            }
-            self.mount_in_place(root, old, old_ids);
-            self.bump(&self.stats.trees_refrozen_incremental);
-            return Ok(true);
-        };
-        if self.root(d) != root {
-            // The cover left the tree inside a detached fragment and nothing
-            // marked an in-tree site after it — can't anchor a splice.
-            return Ok(false);
-        }
-        // Lift the cover to a node with an old position whose old subtree
-        // swallows every invalidated old position.
-        let (s, e) = loop {
-            if d == root {
-                // Splicing the whole tree is just a rebuild with extra steps.
-                return Ok(false);
-            }
-            if let Some(s) = pos.get(d) {
-                let e = old.recs[s as usize].subtree_end;
-                if old_dirty.is_none_or(|(lo, hi)| s <= lo && hi < e) {
-                    break (s, e);
-                }
-            }
-            match self.parent(d) {
-                Some(p) => d = p,
-                None => return Ok(false),
-            }
-        };
-        // Rebuild only `d`'s current subtree, at absolute positions from `s`.
-        let su = s as usize;
-        let eu = e as usize;
-        let mut mid: Vec<FrozenRec> = Vec::with_capacity(eu - su);
-        let mut mid_ids: Vec<NodeId> = Vec::with_capacity(eu - su);
-        enum Visit {
-            Enter(NodeId, u32, u32),
-            Exit(usize),
-        }
-        let mut stack = vec![Visit::Enter(d, old.recs[su].depth, old.recs[su].parent)];
-        while let Some(v) = stack.pop() {
-            match v {
-                Visit::Enter(n, depth, parent) => {
-                    let data = self.node(n);
-                    let rel = mid.len();
-                    let abs = (su + rel) as u32;
-                    mid.push(FrozenRec {
-                        kind: data.kind.clone(),
-                        parent,
-                        subtree_end: abs + 1,
-                        attr_len: data.attributes.len() as u32,
-                        kids_start: 0,
-                        kids_len: 0,
-                        depth,
-                    });
-                    mid_ids.push(n);
-                    for &a in &data.attributes {
-                        let apos = (su + mid.len()) as u32;
-                        mid.push(FrozenRec {
-                            kind: self.node(a).kind.clone(),
-                            parent: abs,
-                            subtree_end: apos + 1,
-                            attr_len: 0,
-                            kids_start: 0,
-                            kids_len: 0,
-                            depth: depth + 1,
-                        });
-                        mid_ids.push(a);
-                    }
-                    stack.push(Visit::Exit(rel));
-                    for &c in data.children.iter().rev() {
-                        stack.push(Visit::Enter(c, depth + 1, abs));
-                    }
-                }
-                Visit::Exit(rel) => mid[rel].subtree_end = (su + mid.len()) as u32,
-            }
-        }
-        let old_len = old.recs.len();
-        let new_len = su + mid.len() + (old_len - eu);
-        if new_len > u32::MAX as usize {
-            return Err(XmlError::new(XmlErrorKind::ArenaFull, 0, 0));
-        }
-        let delta = (su + mid.len()) as i64 - eu as i64;
-        let shift = |v: u32| (v as i64 + delta) as u32;
-        // Child lists for the rebuilt middle only; the prefix and suffix
-        // reuse the old tree's lists below. Parents of every mid record past
-        // the first sit inside the middle, so the count pass is local.
-        let k_pre = old.recs[su].kids_start as usize;
-        let k_mid_end = if eu < old_len {
-            old.recs[eu].kids_start as usize
-        } else {
-            old.kids.len()
-        };
-        for rel in 1..mid.len() {
-            if !mid[rel].is_attr() {
-                let p = mid[rel].parent as usize - su;
-                mid[p].kids_len += 1;
-            }
-        }
-        let mut start = k_pre as u32;
-        for r in mid.iter_mut() {
-            r.kids_start = start;
-            start += r.kids_len;
-        }
-        let mid_kids_total = start as usize - k_pre;
-        let mut mid_kids = vec![0u32; mid_kids_total];
-        let mut cursor: Vec<u32> = mid.iter().map(|r| r.kids_start - k_pre as u32).collect();
-        for (rel, rec) in mid.iter().enumerate().skip(1) {
-            if !rec.is_attr() {
-                let p = rec.parent as usize - su;
-                mid_kids[cursor[p] as usize] = (su + rel) as u32;
-                cursor[p] += 1;
-            }
-        }
-        // One pass of position fixups over the shared ranges. Prefix records
-        // whose subtree spans the splice (exactly `d`'s old ancestors) move
-        // their exit; every suffix record sits after the splice, so its exit
-        // — and its parent, unless that parent is in the prefix — shifts.
-        // Child-list shapes outside the middle are untouched by the edit:
-        // prefix offsets stand, suffix offsets slide by the middle's growth.
-        let kshift = mid_kids_total as i64 - (k_mid_end - k_pre) as i64;
-        let mut recs: Vec<FrozenRec> = Vec::with_capacity(new_len);
-        for r in &old.recs[..su] {
-            let mut r = r.clone();
-            if r.subtree_end > s {
-                r.subtree_end = shift(r.subtree_end);
-            }
-            recs.push(r);
-        }
-        recs.append(&mut mid);
-        for r in &old.recs[eu..] {
-            let mut r = r.clone();
-            r.subtree_end = shift(r.subtree_end);
-            debug_assert!(r.parent != NO_PARENT && (r.parent < s || r.parent >= e));
-            if r.parent >= e {
-                r.parent = shift(r.parent);
-            }
-            r.kids_start = (r.kids_start as i64 + kshift) as u32;
-            recs.push(r);
-        }
-        // The spliced child-position vec: prefix entries point past the
-        // middle only when they land in the suffix (or at `d` itself, whose
-        // position is the unmoved splice start).
-        let mut kids: Vec<u32> =
-            Vec::with_capacity(k_pre + mid_kids_total + (old.kids.len() - k_mid_end));
-        for &v in &old.kids[..k_pre] {
-            kids.push(if v >= e { shift(v) } else { v });
-        }
-        kids.append(&mut mid_kids);
-        for &v in &old.kids[k_mid_end..] {
-            kids.push(shift(v));
-        }
-        let mut ids: Vec<NodeId> = Vec::with_capacity(new_len);
-        ids.extend_from_slice(&old_ids[..su]);
-        ids.append(&mut mid_ids);
-        ids.extend_from_slice(&old_ids[eu..]);
-        let tree = Arc::new(FrozenTree::from_parts(recs, kids));
-        self.mount_in_place(root, tree, ids);
-        self.bump(&self.stats.trees_refrozen_incremental);
-        Ok(true)
-    }
-
-    /// Thaws the frozen tree containing `id` back into the mutable
-    /// pointer-shaped overlay. No-op when already thawed. Node ids are
-    /// unchanged. Shared snapshots of the tree are unaffected.
+    /// Thaws the frozen tree containing `id` back into the pointer-shaped
+    /// overlay. No-op when already thawed. Node ids are unchanged. Shared
+    /// snapshots of the tree are unaffected. Edits never need this; the
+    /// thawed substrate is what constructed trees use, and what the
+    /// differential suites compare the frozen one against.
     pub fn thaw(&mut self, id: NodeId) {
         let Some((mount_ix, _)) = self.floc(id) else {
             return;
         };
         let m = self.mounts[mount_ix as usize].take().expect("live mount");
         self.free_mounts.push(mount_ix);
-        let Mount {
-            tree,
-            ids,
-            contig_base,
-            ..
-        } = m;
+        let Mount { tree, ids, .. } = m;
         for (pos, rec) in tree.recs.iter().enumerate() {
             let parent = (rec.parent != NO_PARENT).then(|| ids[rec.parent as usize]);
             let data = NodeData {
@@ -1813,30 +1596,6 @@ impl Store {
                 pdata.children.push(nid);
             }
         }
-        // Remember where this tree came from: the next freeze can remount
-        // or splice the old record table instead of rebuilding it.
-        let pos = match contig_base {
-            Some(base) => PosLookup::Contig {
-                base,
-                len: ids.len() as u32,
-            },
-            None => PosLookup::Map(
-                ids.iter()
-                    .enumerate()
-                    .map(|(i, &n)| (n, i as u32))
-                    .collect(),
-            ),
-        };
-        self.thaw_origins.insert(
-            ids[0],
-            ThawOrigin {
-                tree,
-                ids,
-                pos,
-                cover: None,
-                old_dirty: None,
-            },
-        );
         self.bump(&self.stats.trees_thawed);
     }
 
@@ -3225,20 +2984,25 @@ mod tests {
         }
     }
 
+    /// A commit of an untouched frozen tree hands back the same record
+    /// table: `freeze` on a frozen root is a no-op.
     #[test]
     fn refreeze_remounts_an_untouched_tree_verbatim() {
         let mut s = Store::new();
         let doc = richer_tree(&mut s);
         s.freeze(doc).unwrap();
         let before = s.snapshot(doc).unwrap();
-        s.thaw(doc);
         s.freeze(doc).unwrap();
         let after = s.snapshot(doc).unwrap();
         assert!(
             TreeSnapshot::ptr_eq(&before, &after),
-            "an untouched thaw/freeze round trip must hand back the same record table"
+            "a commit of an untouched tree must hand back the same record table"
         );
-        assert_eq!(s.stats().trees_refrozen_incremental, 1);
+        let st = s.stats();
+        assert_eq!(
+            (st.trees_frozen, st.trees_thawed, st.records_shifted),
+            (1, 0, 0)
+        );
     }
 
     /// A document with distinct sections so edits can stay subtree-local:
@@ -3264,78 +3028,100 @@ mod tests {
         (doc, secs)
     }
 
+    /// The same sectioned document in a frozen store and in a thawed shadow
+    /// store; identical build sequences give both the same node ids.
+    fn frozen_and_shadow() -> (Store, Store, NodeId, Vec<NodeId>) {
+        let mut s = Store::new();
+        let (doc, secs) = sectioned_tree(&mut s);
+        s.freeze(doc).unwrap();
+        let mut shadow = Store::new();
+        assert_eq!(sectioned_tree(&mut shadow), (doc, secs.clone()));
+        (s, shadow, doc, secs)
+    }
+
+    /// Section-local edits (new child, value overwrite, rename, a move
+    /// between two items) rewrite the frozen table in place: the tree never
+    /// thaws, the commit is a no-op, the bytes equal the thawed shadow's,
+    /// and the splices move exactly the records their arithmetic names.
     #[test]
     fn refreeze_splices_a_section_local_edit() {
-        let mut s = Store::new();
-        let (doc, secs) = sectioned_tree(&mut s);
+        let (mut s, mut shadow, doc, secs) = frozen_and_shadow();
+        let name_probe = QName::from("item").local_sym();
+        let warm = s.descendant_elements_by_local(doc, name_probe).len();
+        for st in [&mut s, &mut shadow] {
+            let extra = st.create_element("item").unwrap();
+            st.append_child(secs[1], extra).unwrap();
+            let items = st.child_elements(secs[1]);
+            st.set_attribute(items[0], "k", "edited").unwrap();
+            st.set_name(items[1], "renamed").unwrap();
+            let moved = st.children(items[0])[0];
+            st.detach(moved);
+            st.append_child(extra, moved).unwrap();
+        }
+        assert!(s.is_frozen(doc), "in-place edits never thaw");
+        let edited = s.stats();
         s.freeze(doc).unwrap();
-        s.thaw(doc);
-        // Edits confined to the middle section: new child, value overwrite,
-        // rename, and a move between two of its items.
-        let extra = s.create_element("item").unwrap();
-        s.append_child(secs[1], extra).unwrap();
-        let items = s.child_elements(secs[1]);
-        s.set_attribute(items[0], "k", "edited").unwrap();
-        s.set_name(items[1], "renamed").unwrap();
-        let moved = s.children(items[0])[0];
-        s.detach(moved);
-        s.append_child(extra, moved).unwrap();
-        let expect = s.to_xml(doc);
-
-        s.freeze(doc).unwrap();
-        assert!(s.is_frozen(doc));
+        assert_eq!(s.stats(), edited, "the commit has nothing to do");
+        let st = s.stats();
+        assert_eq!((st.trees_frozen, st.trees_thawed), (1, 0));
+        // Append under the middle section (3 ancestors, 9 offsets between
+        // the section and the site, 10 suffix records, 1 new) = 23; the
+        // overwrite and the rename 0; the text's detach (4 + 1 + 17 + 1) =
+        // 23; its append under the new item (4 + 0 + 10 + 1) = 15.
+        assert_eq!(st.records_shifted, 61);
+        assert_tree_consistent(&s, doc, &shadow.to_xml(doc));
+        // The name maps built before the edits were patched, not rebuilt.
         assert_eq!(
-            s.stats().trees_refrozen_incremental,
-            1,
-            "a section-local edit batch must re-freeze by splicing"
+            s.descendant_elements_by_local(doc, name_probe).len(),
+            warm,
+            "one item renamed, one added"
         );
-        assert_tree_consistent(&s, doc, &expect);
-        // The spliced tree thaws and edits like any other.
-        s.thaw(doc);
-        assert_eq!(s.to_xml(doc), expect);
     }
 
+    /// Edits in a section *and* on the document node itself now take the
+    /// same in-place path as local ones: nothing falls back to a rebuild.
     #[test]
     fn refreeze_falls_back_when_edits_span_the_tree() {
-        let mut s = Store::new();
-        let (doc, secs) = sectioned_tree(&mut s);
+        let (mut s, mut shadow, doc, secs) = frozen_and_shadow();
+        for st in [&mut s, &mut shadow] {
+            let first = st.child_elements(secs[0])[0];
+            st.set_attribute(first, "k", "a").unwrap();
+            let comment = st.create_comment("regenerated").unwrap();
+            st.append_child(doc, comment).unwrap();
+        }
         s.freeze(doc).unwrap();
-        s.thaw(doc);
-        // Sites in a section *and* on the document node itself: the cover
-        // lifts all the way to the tree root, and a whole-tree splice is
-        // just a rebuild. (Edits under two far-apart sections only lift to
-        // the document element — still a legitimate splice.)
-        s.set_attribute(s.child_elements(secs[0])[0], "k", "a")
-            .unwrap();
-        let comment = s.create_comment("regenerated").unwrap();
-        s.append_child(doc, comment).unwrap();
-        let expect = s.to_xml(doc);
-        s.freeze(doc).unwrap();
-        assert_eq!(
-            s.stats().trees_refrozen_incremental,
-            0,
-            "tree-spanning edits must take the full rebuild"
-        );
-        assert_tree_consistent(&s, doc, &expect);
+        assert!(s.is_frozen(doc));
+        let st = s.stats();
+        assert_eq!((st.trees_frozen, st.trees_thawed), (1, 0));
+        // The comment lands at the end of the table: the document record
+        // moves its exit (1), the 31 records after it follow its grown child
+        // run, nothing comes after the site, and the comment is new (1).
+        assert_eq!(st.records_shifted, 33);
+        assert_tree_consistent(&s, doc, &shadow.to_xml(doc));
     }
 
+    /// An item that leaves the tree takes its records with it into a frozen
+    /// tree of its own; the rest of the table closes the gap.
     #[test]
     fn refreeze_covers_nodes_that_left_the_tree() {
-        let mut s = Store::new();
-        let (doc, secs) = sectioned_tree(&mut s);
-        s.freeze(doc).unwrap();
-        s.thaw(doc);
-        // An item leaves the tree for good: its old records must land
-        // inside the spliced range, not linger in the shared suffix.
+        let (mut s, mut shadow, doc, secs) = frozen_and_shadow();
         let gone = s.child_elements(secs[1])[1];
         s.detach(gone);
-        let expect = s.to_xml(doc);
+        shadow.detach(gone);
         s.freeze(doc).unwrap();
-        assert_eq!(s.stats().trees_refrozen_incremental, 1);
-        assert_tree_consistent(&s, doc, &expect);
-        // The detached item is a live thawed tree of its own.
-        assert!(!s.is_frozen(gone));
+        let st = s.stats();
+        assert_eq!((st.trees_frozen, st.trees_thawed), (1, 0));
+        // The 3 removed records; the section and its two ancestors (3); the
+        // first item's 3 records, whose child offsets follow the section's
+        // shorter run; and the 13 records after the removed range.
+        assert_eq!(st.records_shifted, 3 + 3 + 3 + 13);
+        assert_tree_consistent(&s, doc, &shadow.to_xml(doc));
+        assert!(s.is_frozen(gone), "the detached item is a frozen tree");
+        assert_eq!(s.root(gone), gone);
+        assert_eq!(s.to_xml(gone), shadow.to_xml(gone));
         assert_eq!(s.string_value(gone), "text");
+        let k = QName::from("k").local_sym();
+        assert_eq!(s.elements_with_attr_value(doc, k, "v").len(), 8);
     }
 
     #[test]
@@ -3345,20 +3131,46 @@ mod tests {
         s.freeze(doc).unwrap();
         assert!(s.is_frozen(doc));
 
-        // A mutation transparently thaws the whole tree back to the overlay.
+        // A mutation edits the frozen table in place: no thaw.
         let root = s.document_element(doc).unwrap();
         let d = s.create_element("d").unwrap();
         s.append_child(root, d).unwrap();
-        assert!(!s.is_frozen(doc));
-        assert_eq!(s.stats().trees_thawed, 1);
+        assert!(s.is_frozen(doc));
+        assert!(s.is_frozen(d), "the new child joined the table");
+        assert_eq!(s.stats().trees_thawed, 0);
         let expected = s.to_xml(doc);
         assert!(expected.contains("<d/>"));
 
-        // Refreezing reproduces the edited document byte-for-byte.
+        // The commit is a no-op and the bytes stand.
         s.freeze(doc).unwrap();
         assert!(s.is_frozen(doc));
         assert_eq!(s.to_xml(doc), expected);
-        assert_eq!(s.stats().trees_frozen, 2);
+        assert_eq!(s.stats().trees_frozen, 1);
+    }
+
+    /// Every check of `insert_child` comes before its first write: a
+    /// rejected insert leaves a frozen tree exactly as it was.
+    #[test]
+    fn rejected_insert_leaves_a_frozen_tree_untouched() {
+        let mut s = Store::new();
+        let doc = richer_tree(&mut s);
+        s.freeze(doc).unwrap();
+        let root = s.document_element(doc).unwrap();
+        let xml = s.to_xml(doc);
+        let attr = s.create_attribute("x", "1").unwrap();
+        let el = s.create_element("e").unwrap();
+        let stats = s.stats();
+        assert!(s.insert_child(root, 0, attr).is_err(), "attribute child");
+        assert!(s.insert_child(root, 0, doc).is_err(), "attached child");
+        assert!(s.insert_child(root, 99, el).is_err(), "index out of range");
+        assert!(s.insert_child(root, 0, root).is_err(), "attached, cyclic");
+        assert!(
+            s.replace_child(root, doc).is_err(),
+            "replacement by its own root"
+        );
+        assert_eq!(s.stats(), stats);
+        assert!(s.is_frozen(doc));
+        assert_eq!(s.to_xml(doc), xml);
     }
 
     #[test]
@@ -3379,13 +3191,30 @@ mod tests {
         assert_eq!(snap1.node_count(), node_total);
         assert_eq!(s.stats().tree_snapshots, 2);
 
-        // Snapshots stay valid (same records) even after the source store
-        // thaws the tree for an edit.
+        // Two more holders of the same table: a clone of the store and a
+        // second store that adopted the snapshot.
+        let xml = s.to_xml(doc);
+        let cloned = s.clone();
+        let mut adopter = Store::new();
+        let adopted = adopter.adopt(&snap1).unwrap();
+
+        // The source edits in place; the shared table is copied first, so
+        // every other holder stays byte-identical.
         let root = s.document_element(doc).unwrap();
         let extra = s.create_element("extra").unwrap();
         s.append_child(root, extra).unwrap();
+        s.set_attribute(root, "id", "changed").unwrap();
+        assert!(s.is_frozen(doc));
+        assert_ne!(s.to_xml(doc), xml);
         assert!(TreeSnapshot::ptr_eq(&snap1, &snap2));
         assert_eq!(snap1.node_count(), node_total);
+        assert_eq!(cloned.to_xml(doc), xml);
+        assert_eq!(adopter.to_xml(adopted), xml);
+        assert!(TreeSnapshot::ptr_eq(
+            &snap1,
+            &adopter.snapshot(adopted).unwrap()
+        ));
+        assert!(!TreeSnapshot::ptr_eq(&snap1, &s.snapshot(doc).unwrap()));
     }
 
     #[test]

@@ -1388,8 +1388,8 @@ const EDIT_CORPUS: &[&str] = &[
 ];
 
 /// Runs the scripted edit/query interleaving: each step mutates the live
-/// document through the store (auto-thawing the frozen parse), puts it back
-/// on the requested substrate, and reruns [`EDIT_CORPUS`] through both the
+/// document through the store (in place on the frozen parse), puts it on
+/// the requested substrate, and reruns [`EDIT_CORPUS`] through both the
 /// lowered runner and the tree-walking reference. Returns the per-step
 /// outcome lines the cross-config assertions compare.
 fn edited_outcomes(options: EngineOptions, thaw_between: bool) -> Vec<String> {
@@ -1451,8 +1451,8 @@ fn edited_outcomes(options: EngineOptions, thaw_between: bool) -> Vec<String> {
 #[test]
 fn edit_interleaved_differential_under_all_configs() {
     // The same edit script must read back byte-identically under every
-    // engine config, on both substrates: refrozen after each edit (the
-    // incremental splice path) and left thawed (the live-index patch path).
+    // engine config, on both substrates: edited in place and committed
+    // (the frozen splice path) and thawed (the live-index patch path).
     let reference = edited_outcomes(EngineOptions::default(), false);
     assert!(
         reference
